@@ -9,7 +9,9 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{scan, Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{
+    execute, Filter, ImcsStore, PopulationEngine, Predicate, ScanPlan, SnapshotSource,
+};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -95,10 +97,22 @@ fn bench_scans(c: &mut Criterion) {
         g.sample_size(20);
 
         g.bench_with_input(BenchmarkId::new("imcs_q1_int_eq", rows), &rows, |b, _| {
-            b.iter(|| scan(&f.imcs, &f.store, OBJ, &q1, snapshot).unwrap().unwrap().rows.len())
+            b.iter(|| {
+                execute(std::slice::from_ref(&f.imcs), &f.store, OBJ, &ScanPlan::new(&q1, snapshot))
+                    .unwrap()
+                    .unwrap()
+                    .rows
+                    .len()
+            })
         });
         g.bench_with_input(BenchmarkId::new("imcs_q2_str_eq", rows), &rows, |b, _| {
-            b.iter(|| scan(&f.imcs, &f.store, OBJ, &q2, snapshot).unwrap().unwrap().rows.len())
+            b.iter(|| {
+                execute(std::slice::from_ref(&f.imcs), &f.store, OBJ, &ScanPlan::new(&q2, snapshot))
+                    .unwrap()
+                    .unwrap()
+                    .rows
+                    .len()
+            })
         });
         g.bench_with_input(BenchmarkId::new("rowstore_q1_int_eq", rows), &rows, |b, _| {
             b.iter(|| {
@@ -116,7 +130,18 @@ fn bench_scans(c: &mut Criterion) {
         // Storage-index pruned scan: out-of-domain literal skips every unit.
         let pruned = Filter::of(Predicate::eq(&f.schema, "n1", Value::Int(1_000_000)).unwrap());
         g.bench_with_input(BenchmarkId::new("imcs_pruned", rows), &rows, |b, _| {
-            b.iter(|| scan(&f.imcs, &f.store, OBJ, &pruned, snapshot).unwrap().unwrap().rows.len())
+            b.iter(|| {
+                execute(
+                    std::slice::from_ref(&f.imcs),
+                    &f.store,
+                    OBJ,
+                    &ScanPlan::new(&pruned, snapshot),
+                )
+                .unwrap()
+                .unwrap()
+                .rows
+                .len()
+            })
         });
         g.finish();
     }

@@ -30,7 +30,9 @@ use imadg_bench::bench_output::{
     BenchScanDoc, BenchTierDoc, BENCH_SCHEMA_VERSION,
 };
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{scalar, ImcsStore, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{
+    execute, scalar, ImcsStore, Output, PopulationEngine, Predicate, ScanPlan, SnapshotSource,
+};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -195,7 +197,8 @@ fn run_bench() -> ExitCode {
     let vectorized = |degree: usize| {
         let (f, q) = (&f, &q);
         move || {
-            imadg_imcs::scan_parallel(&f.imcs, &f.store, OBJ, q, snapshot, degree)
+            let plan = ScanPlan { degree, ..ScanPlan::new(q, snapshot) };
+            execute(std::slice::from_ref(&f.imcs), &f.store, OBJ, &plan)
                 .expect("vectorized scan")
                 .expect("object populated")
                 .rows
@@ -236,13 +239,13 @@ fn run_bench() -> ExitCode {
             "aggregate_d1",
             1,
             Box::new(|| {
-                imadg_imcs::scan_aggregate_parallel(
-                    &stores, &f.store, OBJ, &q, ordinal, snapshot, 1,
-                )
-                .expect("aggregate scan")
-                .expect("object populated")
-                .aggs
-                .count as usize
+                let plan =
+                    ScanPlan { output: Output::Aggregate(ordinal), ..ScanPlan::new(&q, snapshot) };
+                execute(&stores, &f.store, OBJ, &plan)
+                    .expect("aggregate scan")
+                    .expect("object populated")
+                    .aggs
+                    .count as usize
             }),
         ),
     ];

@@ -33,7 +33,8 @@ use imadg_common::metrics::TierMetrics;
 use imadg_common::{ImcsConfig, LinkMode, ObjectId, ScnService, TenantId};
 use imadg_db::{AdgCluster, NodeBuilder, Placement, QueryRequest};
 use imadg_imcs::{
-    scan, CmpOp, ColdTier, Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource,
+    execute, CmpOp, ColdTier, Filter, ImcsStore, PopulationEngine, Predicate, ScanPlan,
+    SnapshotSource,
 };
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
@@ -152,11 +153,15 @@ fn budget_run(rows: usize, iters: usize, pct: u32, base: &std::path::Path) -> Be
         Filter::of(Predicate::new(&f.schema, "id", CmpOp::Lt, Value::Int(cut)).expect("predicate"));
 
     let (full_p50_us, full) = time_scan(iters, || {
-        scan(&f.imcs, &f.store, OBJ, &all, at).expect("full scan").expect("populated")
+        execute(std::slice::from_ref(&f.imcs), &f.store, OBJ, &ScanPlan::new(&all, at))
+            .expect("full scan")
+            .expect("populated")
     });
     assert_eq!(full.rows.len(), rows, "budget {pct}%: full scan dropped rows");
     let (selective_p50_us, sel) = time_scan(iters, || {
-        scan(&f.imcs, &f.store, OBJ, &selective, at).expect("selective scan").expect("populated")
+        execute(std::slice::from_ref(&f.imcs), &f.store, OBJ, &ScanPlan::new(&selective, at))
+            .expect("selective scan")
+            .expect("populated")
     });
     assert_eq!(sel.rows.len(), cut as usize, "budget {pct}%: selective scan wrong");
 

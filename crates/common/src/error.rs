@@ -48,6 +48,8 @@ pub enum Error {
     Io(String),
     /// Configuration rejected.
     Config(String),
+    /// A query request asked for an impossible combination.
+    InvalidQuery(String),
     /// A pipeline stage failed (error or panic); recorded by the runtime
     /// health state and surfaced to callers awaiting the pipeline.
     StageFailed {
@@ -85,6 +87,7 @@ impl fmt::Display for Error {
             Error::WireCorrupt(msg) => write!(f, "corrupt wire frame: {msg}"),
             Error::Io(msg) => write!(f, "durability i/o error: {msg}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
+            Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::StageFailed { stage, reason } => {
                 write!(f, "pipeline stage `{stage}` failed: {reason}")
             }

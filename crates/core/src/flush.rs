@@ -306,14 +306,14 @@ mod tests {
         mine_txn(&f, 1, 5, &[(10, 0)]);
         mine_txn(&f, 2, 15, &[(10, 1)]);
         f.flush_for_advance(Scn(10));
-        let v = handle.smu().view();
-        assert!(v.is_invalid(RowLoc { dba: Dba(10), slot: 0 }));
-        assert!(!v.is_invalid(RowLoc { dba: Dba(10), slot: 1 }), "commit 15 > target 10");
+        let smu = handle.smu();
+        assert!(smu.read().is_invalid(RowLoc { dba: Dba(10), slot: 0 }));
+        assert!(!smu.read().is_invalid(RowLoc { dba: Dba(10), slot: 1 }), "commit 15 > target 10");
         assert_eq!(f.commit_table.len(), 1, "future txn still pending");
         assert_eq!(f.journal.len(), 1);
         // A later advancement flushes the rest.
         f.flush_for_advance(Scn(20));
-        assert!(handle.smu().view().is_invalid(RowLoc { dba: Dba(10), slot: 1 }));
+        assert!(handle.smu().read().is_invalid(RowLoc { dba: Dba(10), slot: 1 }));
         assert!(f.journal.is_empty());
         assert_eq!(f.stats.flushed_txns.load(Ordering::Relaxed), 2);
         assert_eq!(f.stats.flushed_records.load(Ordering::Relaxed), 2);
@@ -332,7 +332,7 @@ mod tests {
             anchor: None,
         });
         f.flush_for_advance(Scn(5));
-        assert!(handle.smu().view().all_invalid());
+        assert!(handle.smu().read().all_invalid());
         assert_eq!(f.stats.coarse_invalidations.load(Ordering::Relaxed), 1);
     }
 
@@ -359,9 +359,12 @@ mod tests {
             anchor: Some(anchor),
         });
         f.flush_for_advance(Scn(5));
-        let v = handle.smu().view();
-        assert!(v.all_invalid(), "coarse");
-        assert!(v.is_invalid(RowLoc { dba: Dba(10), slot: 4 }), "mined part still flushed");
+        let smu = handle.smu();
+        assert!(smu.read().all_invalid(), "coarse");
+        assert!(
+            smu.read().is_invalid(RowLoc { dba: Dba(10), slot: 4 }),
+            "mined part still flushed"
+        );
     }
 
     #[test]
@@ -376,7 +379,7 @@ mod tests {
             anchor: None,
         });
         f.flush_for_advance(Scn(5));
-        assert!(!handle.smu().view().all_invalid(), "flag=false: no coarse needed");
+        assert!(!handle.smu().read().all_invalid(), "flag=false: no coarse needed");
         assert_eq!(f.stats.coarse_invalidations.load(Ordering::Relaxed), 0);
     }
 

@@ -29,8 +29,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imadg_common::{
-    CpuAccount, Error, InstanceId, ObjectId, ObjectSet, QueryScnCell, QuiesceLock, Result, Scn,
-    SystemConfig,
+    CpuAccount, Error, InstanceId, MetricsRegistry, ObjectId, ObjectSet, QueryScnCell, QuiesceLock,
+    Result, Scn, SystemConfig,
 };
 use imadg_core::{DbimAdg, HomeLocationMap, LocalFlushTarget};
 use imadg_imcs::{Filter, ImcsStore, PopulationEngine, PopulationReport, SnapshotSource};
@@ -39,7 +39,7 @@ use imadg_redo::{redo_link, LogMerger, RedoPayload, RedoRecord, RedoSender, Redo
 use imadg_storage::Store;
 use parking_lot::Mutex;
 
-use crate::query::{execute_scan, QueryOutput};
+use crate::query::{execute_request, QueryOutput, QueryRequest};
 
 /// One MIRA apply instance: its own pipeline, DBIM-on-ADG state and IMCS.
 pub struct MiraInstance {
@@ -146,6 +146,8 @@ pub struct MiraStandby {
     pub quiesce: Arc<QuiesceLock>,
     /// Objects enabled for standby population (mining filter, shared).
     pub enabled: Arc<ObjectSet>,
+    /// Metrics of the cluster-wide scans.
+    pub metrics: MetricsRegistry,
     instances: Vec<Arc<MiraInstance>>,
     demux: Mutex<ApplyDemux>,
 }
@@ -223,6 +225,7 @@ impl MiraStandby {
             query_scn,
             quiesce,
             enabled,
+            metrics: MetricsRegistry::default(),
             instances: insts,
             demux: Mutex::new(demux),
         }))
@@ -314,6 +317,8 @@ impl MiraStandby {
         let snapshot = self.current_query_scn()?;
         let _t = self.instances[0].query_cpu.timer();
         let stores: Vec<Arc<ImcsStore>> = self.instances.iter().map(|i| i.imcs.clone()).collect();
-        execute_scan(&stores, &self.store, object, filter, snapshot)
+        let req = QueryRequest::scan(object).filter(filter.clone());
+        let m = &self.metrics;
+        execute_request(&stores, &self.store, &req, snapshot, 1, &m.scan, &m.tier, &m.trace)
     }
 }

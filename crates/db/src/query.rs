@@ -1,22 +1,21 @@
 //! The unified query API: request builder, results, and the shared
 //! executor that serves both the primary and the standby.
 //!
-//! A [`QueryRequest`] names an object, an optional filter, an optional
-//! in-memory expression predicate, an optional aggregate column, and an
-//! optional explicit snapshot SCN. One [`execute_request`] entrypoint
-//! resolves the plan (aggregate → expression scan → filtered scan), tries
-//! the In-Memory Scan Engine first, falls back to the row store, and
+//! A [`QueryRequest`] names an object, an optional filter or in-memory
+//! expression predicate, an optional aggregate column, and an optional
+//! explicit snapshot SCN. One [`execute_request`] entrypoint builds one
+//! [`ScanPlan`] from it, runs the In-Memory Scan Engine's executor, falls
+//! back to the row store for objects with no column-store presence, and
 //! records every execution in the scan-engine metrics stage.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use imadg_common::metrics::{ScanEngineMetrics, TierMetrics};
-use imadg_common::{ObjectId, PipelineTrace, QueryProfile, Result, Scn, TraceStage};
+use imadg_common::{Error, ObjectId, PipelineTrace, QueryProfile, Result, Scn, TraceStage};
 use imadg_imcs::{
-    scan_aggregate_parallel, scan_aggregate_profiled, scan_cluster_parallel, scan_cluster_profiled,
-    scan_expression_parallel, scan_expression_profiled, AggregateResult, ExprPredicate, Filter,
-    ImcsStore, ScanStats,
+    execute, AggregateResult, ExprPredicate, Filter, ImcsStore, Output, RowPredicate, ScanOutput,
+    ScanPlan, ScanStats,
 };
 use imadg_storage::{Row, Store};
 
@@ -56,7 +55,8 @@ impl QueryRequest {
     }
 
     /// Filter by an in-memory expression predicate (paper §V) instead of a
-    /// plain column filter.
+    /// plain column filter; combining it with a non-empty
+    /// [`QueryRequest::filter`] is rejected.
     pub fn expression(mut self, pred: ExprPredicate) -> Self {
         self.expression = Some(pred);
         self
@@ -175,33 +175,15 @@ pub fn execute_request(
     tier: &TierMetrics,
     trace: &PipelineTrace,
 ) -> Result<QueryOutput> {
+    let started = Instant::now();
     let snapshot = req.snapshot.unwrap_or(default_snapshot);
     let degree = imadg_imcs::parallel::resolve_degree(req.parallel.unwrap_or(default_degree));
-    let started = Instant::now();
-    let out = if let Some(column) = &req.aggregate {
-        run_aggregate(imcs_stores, store, req, column, snapshot, degree, started, req.profile)?
-    } else if let Some(pred) = &req.expression {
-        run_expression(
-            imcs_stores,
-            store,
-            req.object,
-            pred,
-            snapshot,
-            degree,
-            started,
-            req.profile,
-        )?
-    } else {
-        run_scan(
-            imcs_stores,
-            store,
-            req.object,
-            &req.filter,
-            snapshot,
-            degree,
-            started,
-            req.profile,
-        )?
+    let out = match &req.expression {
+        Some(_) if !req.filter.terms.is_empty() => {
+            return Err(Error::InvalidQuery("a filter and an expression predicate together".into()))
+        }
+        Some(pred) => run(imcs_stores, store, req, pred, snapshot, degree, started)?,
+        None => run(imcs_stores, store, req, &req.filter, snapshot, degree, started)?,
     };
     record_execution(metrics, tier, &out);
     trace.record(
@@ -217,184 +199,57 @@ pub fn execute_request(
     Ok(out)
 }
 
-/// Execute a filtered full scan: IMCS first (across the given column
-/// stores), row-store otherwise. Legacy entrypoint — no metrics recording;
-/// prefer [`execute_request`].
-pub fn execute_scan(
-    imcs_stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-) -> Result<QueryOutput> {
-    run_scan(imcs_stores, store, object, filter, snapshot, 1, Instant::now(), false)
-}
-
-/// Phase breakdown for a pure row-store execution: everything is fallback
-/// time, serially on the calling thread.
-fn fallback_profile(started: Instant) -> QueryProfile {
-    QueryProfile {
-        fallback_us: started.elapsed().as_micros() as u64,
-        parallel_degree: 1,
-        ..Default::default()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scan(
-    imcs_stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-    degree: usize,
-    started: Instant,
-    profile: bool,
-) -> Result<QueryOutput> {
-    let result = if profile {
-        scan_cluster_profiled(imcs_stores, store, object, filter, snapshot, degree)?
-    } else {
-        scan_cluster_parallel(imcs_stores, store, object, filter, snapshot, degree)?
-    };
-    if let Some(result) = result {
-        return Ok(QueryOutput {
-            rows: result.rows,
-            used_imcs: true,
-            stats: Some(result.stats),
-            aggregate: None,
-            elapsed: started.elapsed(),
-            snapshot,
-            parallel_degree: degree,
-            profile: result.profile,
-        });
-    }
-    // Buffer-cache scan: walk every block's version chains.
-    let mut rows = Vec::new();
-    store.scan_object(object, snapshot, None, |_, row| {
-        if filter.eval_row(row) {
-            rows.push(row.clone());
-        }
-    })?;
-    Ok(QueryOutput {
-        rows,
-        used_imcs: false,
-        stats: None,
-        aggregate: None,
-        elapsed: started.elapsed(),
-        snapshot,
-        parallel_degree: degree,
-        profile: profile.then(|| fallback_profile(started)),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_expression(
-    imcs_stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-    degree: usize,
-    started: Instant,
-    profile: bool,
-) -> Result<QueryOutput> {
-    let result = if profile {
-        scan_expression_profiled(imcs_stores, store, object, pred, snapshot, degree)?
-    } else {
-        scan_expression_parallel(imcs_stores, store, object, pred, snapshot, degree)?
-    };
-    if let Some(r) = result {
-        return Ok(QueryOutput {
-            rows: r.rows,
-            used_imcs: true,
-            stats: Some(r.stats),
-            aggregate: None,
-            elapsed: started.elapsed(),
-            snapshot,
-            parallel_degree: degree,
-            profile: r.profile,
-        });
-    }
-    let mut rows = Vec::new();
-    store.scan_object(object, snapshot, None, |_, row| {
-        if pred.eval_row(row) {
-            rows.push(row.clone());
-        }
-    })?;
-    Ok(QueryOutput {
-        rows,
-        used_imcs: false,
-        stats: None,
-        aggregate: None,
-        elapsed: started.elapsed(),
-        snapshot,
-        parallel_degree: degree,
-        profile: profile.then(|| fallback_profile(started)),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_aggregate(
+/// The one execution path: one plan through the column store's executor,
+/// or — for an object with no column-store presence — a buffer-cache scan
+/// walking every block's version chains into the same output.
+fn run<P: RowPredicate>(
     imcs_stores: &[Arc<ImcsStore>],
     store: &Store,
     req: &QueryRequest,
-    column: &str,
+    pred: &P,
     snapshot: Scn,
     degree: usize,
     started: Instant,
-    profile: bool,
 ) -> Result<QueryOutput> {
-    let ordinal = store.table(req.object)?.schema.read().ordinal(column)?;
-    let result = if profile {
-        scan_aggregate_profiled(
-            imcs_stores,
-            store,
-            req.object,
-            &req.filter,
-            ordinal,
-            snapshot,
-            degree,
-        )?
-    } else {
-        scan_aggregate_parallel(
-            imcs_stores,
-            store,
-            req.object,
-            &req.filter,
-            ordinal,
-            snapshot,
-            degree,
-        )?
+    let output = match &req.aggregate {
+        Some(column) => Output::Aggregate(store.table(req.object)?.schema.read().ordinal(column)?),
+        None => Output::Rows,
     };
-    if let Some(mut r) = result {
-        let prof = r.profile.take();
-        return Ok(QueryOutput {
-            rows: Vec::new(),
-            used_imcs: true,
-            stats: None,
-            aggregate: Some(r),
-            elapsed: started.elapsed(),
-            snapshot,
-            parallel_degree: degree,
-            profile: prof,
-        });
-    }
-    let mut r = AggregateResult::default();
-    store.scan_object(req.object, snapshot, None, |_, row| {
-        if req.filter.eval_row(row) {
-            r.aggs.add(row.get(ordinal));
-            r.stats.fallback_rows += 1;
+    let plan = ScanPlan { pred, output, snapshot, degree, profile: req.profile };
+    let executed = execute(imcs_stores, store, req.object, &plan)?;
+    let used_imcs = executed.is_some();
+    let r = match executed {
+        Some(r) => r,
+        None => {
+            let mut r = ScanOutput::default();
+            store.scan_object(req.object, snapshot, None, |_, row| {
+                if pred.matches_row(row) {
+                    r.stats.fallback_rows += 1;
+                    match output {
+                        Output::Rows => r.rows.push(row.clone()),
+                        Output::Aggregate(ordinal) => r.aggs.add(row.get(ordinal)),
+                    }
+                }
+            })?;
+            // All fallback time, serially on the calling thread.
+            r.profile = req.profile.then(|| QueryProfile {
+                fallback_us: started.elapsed().as_micros() as u64,
+                parallel_degree: 1,
+                ..Default::default()
+            });
+            r
         }
-    })?;
+    };
+    let aggregate = matches!(output, Output::Aggregate(_));
     Ok(QueryOutput {
-        rows: Vec::new(),
-        used_imcs: false,
-        stats: None,
-        aggregate: Some(r),
+        stats: (used_imcs && !aggregate).then_some(r.stats),
+        aggregate: aggregate.then_some(AggregateResult { aggs: r.aggs, stats: r.stats }),
+        rows: r.rows,
+        used_imcs,
         elapsed: started.elapsed(),
         snapshot,
         parallel_degree: degree,
-        profile: profile.then(|| fallback_profile(started)),
+        profile: r.profile,
     })
 }
 
@@ -409,7 +264,7 @@ fn record_execution(metrics: &ScanEngineMetrics, tier: &TierMetrics, out: &Query
     if out.used_imcs && out.parallel_degree > 1 {
         metrics.parallel_queries.inc();
     }
-    if let Some(stats) = &out.stats {
+    if let Some(stats) = out.stats.as_ref().or(out.aggregate.as_ref().map(|a| &a.stats)) {
         metrics.imcu_rows.add(stats.imcu_rows as u64);
         metrics.fallback_rows.add(stats.fallback_rows as u64);
         metrics.uncovered_rows.add(stats.uncovered_rows as u64);
@@ -419,14 +274,6 @@ fn record_execution(metrics: &ScanEngineMetrics, tier: &TierMetrics, out: &Query
         tier.tier_pruned_units.add(stats.cold_pruned_units as u64);
         tier.tier_cold_reads.add(stats.cold_read_units as u64);
         tier.tier_read_errors.add(stats.cold_read_errors as u64);
-    }
-    if let Some(agg) = &out.aggregate {
-        metrics.fallback_rows.add(agg.stats.fallback_rows as u64);
-        metrics.scanned_units.add(agg.stats.scanned_units as u64);
-        metrics.parallel_tasks.add(agg.stats.parallel_tasks as u64);
-        tier.tier_pruned_units.add(agg.stats.cold_pruned_units as u64);
-        tier.tier_cold_reads.add(agg.stats.cold_read_units as u64);
-        tier.tier_read_errors.add(agg.stats.cold_read_errors as u64);
     }
     metrics.latency_us.record(out.elapsed);
 }

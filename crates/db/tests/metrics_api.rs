@@ -1,13 +1,13 @@
 //! E2e tests of the metrics/tracing layer and the unified query API:
 //! record conservation across the pipeline after a full sync, serde
-//! round-trips of the snapshot, and `query()` parity with the legacy
-//! scan paths.
+//! round-trips of the snapshot, and `query()` parity with an independent
+//! row-store scan.
 
 use std::sync::Arc;
 
 use imadg_db::{
-    execute_scan, AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, ObjectId,
-    Placement, Predicate, QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
+    AdgCluster, ColumnType, Filter, MetricsSnapshot, NodeBuilder, ObjectId, Placement, Predicate,
+    QueryRequest, Schema, Scn, TableSpec, TenantId, TraceStage, Value,
 };
 
 const OBJ: ObjectId = ObjectId(100);
@@ -169,22 +169,41 @@ fn unified_query_matches_legacy_paths_byte_for_byte() {
     c.sync().unwrap();
     let standby = c.standby();
 
-    // IMCS-served object: query() against the raw legacy executor.
+    // The oracle: a buffer-cache scan filtered row by row at the answer's
+    // own snapshot, compared as full row images in key order.
+    let oracle = |object: ObjectId, f: &Filter, at: Scn| {
+        let mut rows = Vec::new();
+        standby
+            .store
+            .scan_object(object, at, None, |_, row| {
+                if f.eval_row(row) {
+                    rows.push(row.clone());
+                }
+            })
+            .unwrap();
+        rows.sort_by_key(|r| r[0].as_int());
+        rows
+    };
+    let by_key = |mut rows: Vec<imadg_db::Row>| {
+        rows.sort_by_key(|r| r[0].as_int());
+        rows
+    };
+
+    // IMCS-served object.
     let f = filter(&c, OBJ, "n1", Value::Int(4));
     let out = standby.query(&QueryRequest::scan(OBJ).filter(f.clone())).unwrap();
     assert!(out.used_imcs);
-    let snapshot = out.snapshot;
-    let stores: Vec<_> = standby.instances().iter().map(|i| i.imcs.clone()).collect();
-    let legacy = execute_scan(&stores, &standby.store, OBJ, &f, snapshot).unwrap();
-    assert_eq!(out.rows, legacy.rows, "IMCS-served rows must be byte-identical");
-    assert_eq!(out.used_imcs, legacy.used_imcs);
+    let expected = oracle(OBJ, &f, out.snapshot);
+    assert_eq!(expected.len(), 12);
+    assert_eq!(by_key(out.rows), expected, "IMCS-served rows must be byte-identical");
 
     // Row-store-fallback object (never placed in-memory).
     let f = filter(&c, ROW_OBJ, "n1", Value::Int(7));
     let out = standby.query(&QueryRequest::scan(ROW_OBJ).filter(f.clone())).unwrap();
     assert!(!out.used_imcs);
-    let legacy = execute_scan(&stores, &standby.store, ROW_OBJ, &f, out.snapshot).unwrap();
-    assert_eq!(out.rows, legacy.rows, "fallback rows must be byte-identical");
+    let expected = oracle(ROW_OBJ, &f, out.snapshot);
+    assert_eq!(expected.len(), 6);
+    assert_eq!(by_key(out.rows), expected, "fallback rows must be byte-identical");
 
     // Aggregate push-down through the builder equals an aggregate folded
     // by hand from the row scan — an oracle with no deprecated delegate

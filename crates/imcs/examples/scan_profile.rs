@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::{ImcsConfig, ObjectId, ScnService, TenantId};
-use imadg_imcs::{Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource};
+use imadg_imcs::{
+    execute, Filter, ImcsStore, Output, PopulationEngine, Predicate, ScanPlan, SnapshotSource,
+};
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
 use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
@@ -139,16 +141,13 @@ fn main() {
         total
     });
     time("block_dbas", &mut || store.block_dbas(OBJ).unwrap().len());
-    time("full scan_parallel d1", &mut || {
-        imadg_imcs::scan_parallel(&imcs, &store, OBJ, &q, snapshot, 1).unwrap().unwrap().rows.len()
+    let stores = [imcs.clone()];
+    time("full execute d1", &mut || {
+        execute(&stores, &store, OBJ, &ScanPlan::new(&q, snapshot)).unwrap().unwrap().rows.len()
     });
     time("full aggregate d1", &mut || {
-        let stores = [imcs.clone()];
-        imadg_imcs::scan_aggregate_parallel(&stores, &store, OBJ, &q, 1, snapshot, 1)
-            .unwrap()
-            .unwrap()
-            .aggs
-            .count as usize
+        let plan = ScanPlan { output: Output::Aggregate(1), ..ScanPlan::new(&q, snapshot) };
+        execute(&stores, &store, OBJ, &plan).unwrap().unwrap().aggs.count as usize
     });
     // Does a buffer-cache scan (the bench's first measured config) degrade
     // subsequent columnar scans in the same process?
@@ -163,7 +162,7 @@ fn main() {
             .unwrap();
         n
     });
-    time("full scan_parallel d1 again", &mut || {
-        imadg_imcs::scan_parallel(&imcs, &store, OBJ, &q, snapshot, 1).unwrap().unwrap().rows.len()
+    time("full execute d1 again", &mut || {
+        execute(&stores, &store, OBJ, &ScanPlan::new(&q, snapshot)).unwrap().unwrap().rows.len()
     });
 }

@@ -138,7 +138,7 @@ impl ColdTier {
         }
         let Some(cold) = handle.cold() else { return Ok(false) };
         let smu = handle.smu();
-        let all_invalid = smu.view().all_invalid();
+        let all_invalid = smu.read().all_invalid();
         if !all_invalid && smu.staleness(cold.meta.rows) < self.config.repopulate_threshold {
             return Ok(false);
         }
@@ -388,12 +388,13 @@ mod tests {
     use super::*;
     use crate::population::PopulationEngine;
     use crate::predicate::{CmpOp, Filter, Predicate};
-    use crate::scan::scan;
+    use crate::scan::{execute, ScanPlan};
     use imadg_common::sync::ScnService;
     use imadg_common::{ObjectId, TenantId};
     use imadg_redo::LogBuffer;
     use imadg_storage::{ColumnType, DbaAllocator, Schema, TableSpec, Value};
     use imadg_txn::{InMemoryRegistry, LockTable, TxnIdService, TxnManager};
+    use std::slice::from_ref;
 
     const OBJ: ObjectId = ObjectId(1);
 
@@ -479,8 +480,8 @@ mod tests {
         (txm, store, scns, imcs, tier, dir)
     }
 
-    fn rows_of(imcs: &ImcsStore, store: &Store, filter: &Filter, at: Scn) -> Vec<Vec<Value>> {
-        let r = scan(imcs, store, OBJ, filter, at).unwrap().unwrap();
+    fn rows_of(imcs: &Arc<ImcsStore>, store: &Store, filter: &Filter, at: Scn) -> Vec<Vec<Value>> {
+        let r = execute(from_ref(imcs), store, OBJ, &ScanPlan::new(filter, at)).unwrap().unwrap();
         r.rows.into_iter().map(|row| row.values().to_vec()).collect()
     }
 
@@ -500,7 +501,7 @@ mod tests {
 
         let cold_rows = rows_of(&imcs, &store, &all, at);
         assert_eq!(hot_rows, cold_rows, "cold scan must be bit-identical");
-        let r = scan(&imcs, &store, OBJ, &all, at).unwrap().unwrap();
+        let r = execute(from_ref(&imcs), &store, OBJ, &ScanPlan::new(&all, at)).unwrap().unwrap();
         assert_eq!(r.stats.cold_read_units, 4);
         assert_eq!(r.stats.cold_read_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -514,7 +515,7 @@ mod tests {
         // ids 0..100 over units [0,32) [32,64) [64,96) [96,100): id >= 96
         // lives in the last unit only.
         let f = pred("id", CmpOp::Ge, 96);
-        let r = scan(&imcs, &store, OBJ, &f, at).unwrap().unwrap();
+        let r = execute(from_ref(&imcs), &store, OBJ, &ScanPlan::new(&f, at)).unwrap().unwrap();
         assert_eq!(r.rows.len(), 4);
         assert!(
             r.stats.cold_pruned_units >= 3,
@@ -548,7 +549,7 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "files deleted on recall");
         let after = rows_of(&imcs, &store, &all, at);
         assert_eq!(before, after);
-        let r = scan(&imcs, &store, OBJ, &all, at).unwrap().unwrap();
+        let r = execute(from_ref(&imcs), &store, OBJ, &ScanPlan::new(&all, at)).unwrap().unwrap();
         assert_eq!(r.stats.cold_read_units, 0, "units are hot again");
         assert_eq!(r.stats.scanned_units, 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -574,7 +575,7 @@ mod tests {
         // The rebuilt files serve the new values without any journal pass.
         let at = scns.current();
         let f = pred("n", CmpOp::Eq, -1);
-        let r = scan(&imcs, &store, OBJ, &f, at).unwrap().unwrap();
+        let r = execute(from_ref(&imcs), &store, OBJ, &ScanPlan::new(&f, at)).unwrap().unwrap();
         assert_eq!(r.rows.len(), 33);
         assert_eq!(r.stats.cold_read_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -589,7 +590,7 @@ mod tests {
         assert_eq!(tier.run_once().unwrap().evicted, 4);
 
         // "Restart": a brand-new column store, restored from footers only.
-        let fresh = ImcsStore::new();
+        let fresh = Arc::new(ImcsStore::new());
         let metrics = TierMetrics::default();
         let (n, min_snap) = restore_cold_tier(&fresh, &store, &dir, Scn::ZERO, &metrics).unwrap();
         assert_eq!(n, 4);
@@ -601,7 +602,7 @@ mod tests {
         // A floor past the files' snapshots rejects them all: their journal
         // updates died with the crash and cannot be re-mined, so the files
         // cannot be trusted.
-        let fresh2 = ImcsStore::new();
+        let fresh2 = Arc::new(ImcsStore::new());
         let (n2, _) = restore_cold_tier(&fresh2, &store, &dir, Scn(at.0 + 10), &metrics).unwrap();
         assert_eq!(n2, 0);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "gated files deleted");
@@ -620,7 +621,7 @@ mod tests {
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
 
-        let r = scan(&imcs, &store, OBJ, &all, at).unwrap().unwrap();
+        let r = execute(from_ref(&imcs), &store, OBJ, &ScanPlan::new(&all, at)).unwrap().unwrap();
         assert_eq!(r.stats.cold_read_errors, 1);
         let rows: Vec<_> = r.rows.into_iter().map(|row| row.values().to_vec()).collect();
         assert_eq!(before, rows, "row store covers the corrupt unit");

@@ -16,6 +16,11 @@ use std::sync::Arc;
 use imadg_common::{Error, Result};
 use imadg_storage::{ColumnType, Row, Schema, Value};
 
+use crate::bitmap::SelBitmap;
+use crate::coldstore::{ColdMeta, ColdUnitFile};
+use crate::imcu::Imcu;
+use crate::predicate::{CmpOp, Predicate, RowPredicate};
+
 /// A scalar expression over a row.
 #[derive(Debug, Clone)]
 pub enum Expr {
@@ -161,6 +166,86 @@ impl ImExpression {
     /// Build a named expression.
     pub fn new(name: impl Into<String>, expr: Expr) -> ImExpression {
         ImExpression { name: name.into(), expr: Arc::new(expr) }
+    }
+}
+
+/// A predicate over a registered in-memory expression (paper §V):
+/// `<expr> <op> <literal>`, filtered through the precomputed virtual
+/// column when a unit materialized it, or by evaluating the expression
+/// over row images otherwise — correctness never depends on the virtual
+/// column being present.
+#[derive(Debug, Clone)]
+pub struct ExprPredicate {
+    /// The registered expression's name.
+    pub name: String,
+    /// The expression (for row-image fallback evaluation).
+    pub expr: Arc<Expr>,
+    /// Comparison operator.
+    pub op: CmpOp,
+    /// Literal to compare against.
+    pub value: Value,
+}
+
+impl ExprPredicate {
+    /// Evaluate against a row image.
+    pub fn eval_row(&self, row: &Row) -> bool {
+        self.op.eval(&self.expr.eval(row), &self.value)
+    }
+
+    /// The same comparison on the materialized virtual column `ordinal`.
+    fn on_column(&self, ordinal: usize) -> Predicate {
+        Predicate { ordinal, op: self.op, value: self.value.clone() }
+    }
+
+    /// Evaluate over every materialized row of a unit that predates the
+    /// expression's registration (correct, just not accelerated).
+    fn eval_rows(&self, imcu: &Imcu) -> SelBitmap {
+        let mut sel = SelBitmap::zeroes(imcu.rows());
+        for rn in imcu.all_rows() {
+            if self.eval_row(&imcu.materialize(rn)) {
+                sel.set(rn as usize);
+            }
+        }
+        sel
+    }
+}
+
+impl RowPredicate for ExprPredicate {
+    fn matches_row(&self, row: &Row) -> bool {
+        self.eval_row(row)
+    }
+
+    fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap> {
+        match imcu.virtual_ordinal(&self.name) {
+            // Materialized at population: filter the encoded virtual column
+            // like any base column, storage-index pruning included.
+            Some(vord) => {
+                let vpred = self.on_column(vord);
+                imcu.storage_index.may_match(&vpred).then(|| imcu.pred_bitmap(&vpred))
+            }
+            None => Some(self.eval_rows(imcu)),
+        }
+    }
+
+    fn cold_prunes(&self, meta: &ColdMeta) -> bool {
+        // Without a materialized virtual column the footer min/max says
+        // nothing about the expression's value range.
+        meta.virtual_ordinal(&self.name)
+            .is_some_and(|v| !meta.summaries.may_match(&self.on_column(v)))
+    }
+
+    fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap> {
+        match file.meta.virtual_ordinal(&self.name) {
+            // Decode only the virtual column and filter it.
+            Some(vord) => {
+                let col = file.decode_column(vord)?;
+                let mut sel = SelBitmap::zeroes(file.meta.rows);
+                col.scan_bitmap(&self.on_column(vord), &mut sel);
+                Some(sel)
+            }
+            // File predates the registration: decode every base column.
+            None => Some(self.eval_rows(&file.into_imcu()?)),
+        }
     }
 }
 

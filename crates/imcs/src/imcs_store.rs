@@ -75,24 +75,17 @@ impl ImcuHandle {
         *g = (Arc::new(rebuilt), Arc::new(fresh));
     }
 
-    /// Route an invalidation to this handle's SMU: rows known to the unit
-    /// are marked stale; unknown rows in covered blocks are post-snapshot
-    /// inserts. On a cold handle the placeholder holds no rownums, so
-    /// journaled DML lands as inserts — the cold scan's fallback pass and
-    /// the re-compaction merge treat invalid and inserted alike.
+    /// Route an invalidation to this handle's SMU. Updated unit rows and
+    /// post-snapshot inserts into covered blocks are both stale locations,
+    /// on hot and cold handles alike.
     pub fn invalidate(&self, loc: RowLoc, commit_scn: Scn) {
         let g = self.pair.read();
         // A unit frozen at snapshot `S` already absorbed every change
         // committed at or before `S` (the `Smu::carry_over` rule), so
         // mining replayed from below the snapshot — the restart path that
         // re-mines for restored cold units — is dropped, not recorded.
-        if commit_scn <= g.0.snapshot {
-            return;
-        }
-        if g.0.rownum(loc).is_some() {
+        if commit_scn > g.0.snapshot {
             g.1.invalidate_row(loc, commit_scn);
-        } else {
-            g.1.record_insert(loc, commit_scn);
         }
     }
 
@@ -410,7 +403,7 @@ mod tests {
         let loc = RowLoc { dba: Dba(7), slot: 0 };
         assert!(s.invalidate(ObjectId(1), loc, Scn(9)));
         // Pending unit holds no rows → recorded as a post-snapshot insert.
-        assert_eq!(h.smu().view().inserted_count(), 1);
+        assert_eq!(h.smu().read().fallback_count(), 1);
         // Uncovered block: not routed.
         assert!(!s.invalidate(ObjectId(1), RowLoc { dba: Dba(99), slot: 0 }, Scn(9)));
         // Unknown object: not routed.
@@ -424,8 +417,7 @@ mod tests {
         h.invalidate(RowLoc { dba: Dba(1), slot: 1 }, Scn(30));
         // Rebuild at snapshot 20: the SCN-10 entry is absorbed.
         h.swap(pending_unit(1, &[1], 20));
-        let v = h.smu().view();
-        assert_eq!(v.inserted_count() + v.invalid_count(), 1);
+        assert_eq!(h.smu().read().fallback_count(), 1);
     }
 
     #[test]
@@ -450,8 +442,8 @@ mod tests {
         o1.register(h1.clone());
         o2.register(h2.clone());
         assert_eq!(s.mark_tenant_invalid(TenantId(1)), 1);
-        assert!(h1.smu().view().all_invalid());
-        assert!(!h2.smu().view().all_invalid());
+        assert!(h1.smu().read().all_invalid());
+        assert!(!h2.smu().read().all_invalid());
     }
 
     #[test]

@@ -22,22 +22,15 @@ pub mod scan;
 pub mod smu;
 pub mod storage_index;
 
-pub use aggregate::{
-    scan_aggregate, scan_aggregate_parallel, scan_aggregate_profiled, AggregateResult,
-    AggregateStats, Aggregates,
-};
+pub use aggregate::{AggregateResult, Aggregates};
 pub use bitmap::SelBitmap;
 pub use coldstore::{restore_cold_tier, ColdTier, ColdUnit, ColdUnitFile, TierReport};
 pub use column::{ColumnCu, MinMax};
-pub use expression::{Expr, ImExpression};
+pub use expression::{Expr, ExprPredicate, ImExpression};
 pub use imcs_store::{ImcsStore, ImcuHandle, ObjectImcs};
 pub use imcu::{ColAgg, Imcu};
 pub use population::{PopulationEngine, PopulationReport, SnapshotSource};
-pub use predicate::{CmpOp, Filter, Predicate};
-pub use scan::{
-    scan, scan_cluster, scan_cluster_parallel, scan_cluster_profiled, scan_expression,
-    scan_expression_parallel, scan_expression_profiled, scan_parallel, ExprPredicate, ScanResult,
-    ScanStats,
-};
-pub use smu::{Smu, SmuView};
+pub use predicate::{CmpOp, Filter, Predicate, RowPredicate};
+pub use scan::{execute, Output, ScanOutput, ScanPlan, ScanResult, ScanStats};
+pub use smu::Smu;
 pub use storage_index::StorageIndex;

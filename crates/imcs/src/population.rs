@@ -271,7 +271,7 @@ impl PopulationEngine {
             let Some(snapshot) = snapshot else { return Ok(rebuilt) };
             // Throttle: don't rebuild for tiny snapshot advances unless the
             // unit is unusable (pending or coarse-invalidated).
-            let forced = imcu.is_pending() || smu.view().all_invalid();
+            let forced = imcu.is_pending() || smu.read().all_invalid();
             if !forced
                 && snapshot.0.saturating_sub(imcu.snapshot.0) < self.config.repopulate_min_scn_gap
             {
@@ -428,7 +428,7 @@ mod tests {
         assert_eq!(r.repopulated, 1);
         let (imcu2, smu2) = handle.pair();
         assert!(imcu2.snapshot > old_snapshot);
-        assert_eq!(smu2.view().invalid_count(), 0, "absorbed by rebuild");
+        assert_eq!(smu2.read().fallback_count(), 0, "absorbed by rebuild");
         // The rebuilt unit holds the updated value.
         let rn = imcu2.rownum(imadg_storage::RowLoc { dba: imcu2.dbas[0], slot: 0 }).unwrap();
         assert_eq!(imcu2.value(rn, 1), Value::Int(999));

@@ -8,6 +8,10 @@
 use imadg_common::{Error, Result};
 use imadg_storage::{Row, Schema, Value};
 
+use crate::bitmap::SelBitmap;
+use crate::coldstore::{ColdMeta, ColdUnitFile};
+use crate::imcu::Imcu;
+
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -37,6 +41,17 @@ impl CmpOp {
             CmpOp::Le => ord != Greater,
             CmpOp::Gt => ord == Greater,
             CmpOp::Ge => ord != Less,
+        }
+    }
+
+    /// Compare `v` against `literal`. SQL semantics: NULL (or a type
+    /// mismatch) never matches.
+    #[inline]
+    pub fn eval(self, v: &Value, literal: &Value) -> bool {
+        match (v, literal) {
+            (Value::Int(a), Value::Int(b)) => self.matches(a.cmp(b)),
+            (Value::Str(a), Value::Str(b)) => self.matches(a.as_ref().cmp(b.as_ref())),
+            _ => false,
         }
     }
 }
@@ -71,11 +86,7 @@ impl Predicate {
     /// Evaluate against one value. SQL semantics: NULL never matches.
     #[inline]
     pub fn eval_value(&self, v: &Value) -> bool {
-        match (v, &self.value) {
-            (Value::Int(a), Value::Int(b)) => self.op.matches(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => self.op.matches(a.as_ref().cmp(b.as_ref())),
-            _ => false, // NULL or type mismatch: no match
-        }
+        self.op.eval(v, &self.value)
     }
 
     /// Evaluate against a row image.
@@ -119,6 +130,58 @@ impl Filter {
 impl From<Predicate> for Filter {
     fn from(p: Predicate) -> Filter {
         Filter::of(p)
+    }
+}
+
+/// A predicate the query executor can evaluate both in column space
+/// (selection bitmap per hot unit or cold file) and against row images
+/// (SMU reconciliation, bypassed units, uncovered blocks). [`Filter`] and
+/// [`crate::ExprPredicate`] are the two shapes.
+pub trait RowPredicate: Sync {
+    /// Row-image evaluation.
+    fn matches_row(&self, row: &Row) -> bool;
+
+    /// Does the predicate match every row? Only then may an aggregate be
+    /// answered from unit metadata alone.
+    fn matches_all(&self) -> bool {
+        false
+    }
+
+    /// Column-space evaluation over one unit. `None` means the unit's
+    /// min/max storage index excludes it entirely (prune).
+    fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap>;
+
+    /// Does the cold footer's min/max exclude every serialized row? A
+    /// `true` answer costs zero file I/O — the whole decision runs off
+    /// metadata held in memory since eviction.
+    fn cold_prunes(&self, meta: &ColdMeta) -> bool;
+
+    /// Column-space evaluation over an opened cold file, decoding only the
+    /// columns the predicate touches. Unlike [`RowPredicate::unit_bitmap`],
+    /// `None` here means *corruption* (a column entry failed its CRC) —
+    /// pruning was already decided by [`RowPredicate::cold_prunes`].
+    fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap>;
+}
+
+impl RowPredicate for Filter {
+    fn matches_row(&self, row: &Row) -> bool {
+        self.eval_row(row)
+    }
+
+    fn matches_all(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap> {
+        imcu.filter_bitmap(self)
+    }
+
+    fn cold_prunes(&self, meta: &ColdMeta) -> bool {
+        meta.prunes(self)
+    }
+
+    fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap> {
+        file.filter_bitmap(self)
     }
 }
 

@@ -1,18 +1,23 @@
-//! The In-Memory Scan Engine.
+//! The query executor of the In-Memory Scan Engine.
 //!
-//! Serves a filtered scan at a snapshot SCN by combining three sources
-//! (paper §II.B): (1) valid rows straight from encoded IMCUs — after
-//! storage-index pruning, (2) stale/new rows fetched from the row-store via
-//! Consistent Read (SMU reconciliation), and (3) row-store block scans for
-//! blocks no unit covers (the insert frontier beyond the edge IMCU).
+//! Every in-memory query follows one rule (paper §II.B): (1) take the
+//! valid rows from the unit after storage-index pruning, (2) re-read every
+//! row the SMU marks stale from the row store through Consistent Read, and
+//! (3) scan the blocks no unit covers (the insert frontier beyond the edge
+//! IMCU). [`execute`] runs a [`ScanPlan`] — predicate, output, snapshot,
+//! degree, profile flag — through that rule once: one unit driver for hot
+//! units and cold files, rows and aggregates alike.
 //!
 //! Predicates evaluate in *column space*: every conjunct runs through its
 //! encoding's branchless kernel into a chunked selection bitmap (64 rows
 //! per word), SMU validity converts to the same mask form, and the bitmaps
-//! AND together — only final survivors materialize row images. Units are
-//! independent scan tasks, so the whole walk fans out across a query-scoped
-//! worker pool ([`crate::parallel`]) and merges per-unit partials in unit
-//! order: results are bit-identical at every parallel degree. The old
+//! AND together — only final survivors reach the output sink, which either
+//! materializes row images or folds the aggregated column. The sink is a
+//! generic parameter, so each output shape gets its own compiled copy of
+//! the driver and no row pays a dynamic call. Units are independent tasks,
+//! so the walk fans out across a query-scoped worker pool
+//! ([`crate::parallel`]) and merges per-unit partials in unit order:
+//! results are bit-identical at every parallel degree. The old
 //! row-at-a-time engine survives in [`crate::scalar`] as the parity oracle
 //! and bench baseline.
 
@@ -20,34 +25,39 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use imadg_common::{Dba, ObjectId, QueryProfile, Result, Scn, UnitTiming};
-use imadg_storage::{Row, Store};
+use imadg_storage::{Row, Store, Value};
 
+use crate::aggregate::Aggregates;
 use crate::bitmap::SelBitmap;
-use crate::coldstore::{ColdMeta, ColdUnit, ColdUnitFile};
-use crate::expression::Expr;
-use crate::imcs_store::{ImcsStore, ImcuHandle, ObjectImcs};
-use crate::imcu::Imcu;
+use crate::coldstore::{ColdUnit, ColdUnitFile};
+use crate::imcs_store::{ImcsStore, ImcuHandle};
+use crate::imcu::{ColAgg, Imcu};
 use crate::parallel::run_indexed;
-use crate::predicate::{CmpOp, Filter, Predicate};
+use crate::predicate::RowPredicate;
 use crate::smu::SmuReadGuard;
+use crate::storage_index::StorageIndex;
 
-/// Where each result row came from (experiment instrumentation).
+/// Where each result row came from, and what each unit cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Rows served from encoded IMCU data.
+    /// Rows served from encoded IMCU data (hot or cold).
     pub imcu_rows: usize,
     /// Rows served via row-store fallback (SMU-invalid, post-snapshot
     /// inserts, pending or coarse-invalidated units).
     pub fallback_rows: usize,
     /// Rows served from uncovered blocks.
     pub uncovered_rows: usize,
-    /// Units skipped by the min/max storage index (any conjunct excluded).
+    /// Units skipped by min/max (storage index or cold footer).
     pub pruned_units: usize,
     /// Units whose columns were scanned.
     pub scanned_units: usize,
     /// Units bypassed entirely (pending / all-invalid).
     pub bypassed_units: usize,
-    /// Cold units excluded by footer min/max alone — zero file I/O.
+    /// Units an aggregate answered entirely from pre-computed metadata
+    /// (O(1)): unit aggregates when hot, the file footer when cold.
+    pub pushdown_units: usize,
+    /// Cold units answered from footer metadata alone (min/max prune or
+    /// footer aggregate pushdown) — zero file I/O.
     pub cold_pruned_units: usize,
     /// Cold units whose file was opened and predicate-filtered on disk.
     pub cold_read_units: usize,
@@ -60,7 +70,7 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
-    /// Total result rows.
+    /// Total result rows (for aggregates: rows folded).
     pub fn total(&self) -> usize {
         self.imcu_rows + self.fallback_rows + self.uncovered_rows
     }
@@ -73,6 +83,7 @@ impl ScanStats {
         self.pruned_units += other.pruned_units;
         self.scanned_units += other.scanned_units;
         self.bypassed_units += other.bypassed_units;
+        self.pushdown_units += other.pushdown_units;
         self.cold_pruned_units += other.cold_pruned_units;
         self.cold_read_units += other.cold_read_units;
         self.cold_read_errors += other.cold_read_errors;
@@ -80,14 +91,59 @@ impl ScanStats {
     }
 }
 
-/// A completed scan.
+/// A completed scan of the scalar reference engine ([`crate::scalar`]).
 #[derive(Debug, Default)]
 pub struct ScanResult {
     /// Matching row images.
     pub rows: Vec<Row>,
     /// Provenance counters.
     pub stats: ScanStats,
-    /// Phase timings, populated only on the `*_profiled` entry points.
+    /// Phase timings (never collected by the scalar engine).
+    pub profile: Option<QueryProfile>,
+}
+
+/// What a plan returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Output {
+    /// Matching row images.
+    Rows,
+    /// COUNT / SUM / MIN / MAX of the column at this ordinal over the
+    /// matching rows.
+    Aggregate(usize),
+}
+
+/// One in-memory query: what to match, what to return, and how to run.
+#[derive(Debug)]
+pub struct ScanPlan<'a, P> {
+    /// The predicate ([`crate::Filter`] or [`crate::ExprPredicate`]).
+    pub pred: &'a P,
+    /// Rows or an aggregate.
+    pub output: Output,
+    /// The snapshot SCN the query reads at.
+    pub snapshot: Scn,
+    /// Parallel degree (`<= 1` = serial on the caller's thread).
+    pub degree: usize,
+    /// Collect a [`QueryProfile`] (per-phase and per-unit timings).
+    pub profile: bool,
+}
+
+impl<'a, P: RowPredicate> ScanPlan<'a, P> {
+    /// A serial, unprofiled row scan of `pred` at `snapshot`.
+    pub fn new(pred: &'a P, snapshot: Scn) -> Self {
+        ScanPlan { pred, output: Output::Rows, snapshot, degree: 1, profile: false }
+    }
+}
+
+/// A completed [`execute`].
+#[derive(Debug, Default)]
+pub struct ScanOutput {
+    /// Matching row images ([`Output::Rows`]; empty for aggregates).
+    pub rows: Vec<Row>,
+    /// The aggregates ([`Output::Aggregate`]; zero for row plans).
+    pub aggs: Aggregates,
+    /// Provenance counters.
+    pub stats: ScanStats,
+    /// Phase timings, when the plan asked for them.
     pub profile: Option<QueryProfile>,
 }
 
@@ -96,281 +152,350 @@ fn micros(t: Instant) -> u64 {
     t.elapsed().as_micros() as u64
 }
 
-/// A predicate the unified unit-walk driver can evaluate both in column
-/// space (selection bitmap per unit) and against row images (row-store
-/// fallback). [`Filter`] and [`ExprPredicate`] are the two shapes.
-trait RowPredicate: Sync {
-    /// Row-image evaluation (fallback, bypass, and uncovered passes).
-    fn matches_row(&self, row: &Row) -> bool;
-
-    /// Column-space evaluation over one unit. `None` means the unit's
-    /// min/max storage index excludes it entirely (prune).
-    fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap>;
-
-    /// Does the cold footer's min/max exclude every serialized row? A
-    /// `true` answer costs zero file I/O — the whole decision runs off
-    /// metadata held in memory since eviction.
-    fn cold_prunes(&self, meta: &ColdMeta) -> bool;
-
-    /// Column-space evaluation over an opened cold file, decoding only the
-    /// columns the predicate touches. Unlike [`RowPredicate::unit_bitmap`],
-    /// `None` here means *corruption* (a column entry failed its CRC) —
-    /// pruning was already decided by [`RowPredicate::cold_prunes`].
-    fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap>;
+/// Where surviving rows go. Each `take_*` returns the rows it took.
+trait Sink: Send {
+    /// Answer a whole clean unit from metadata (`rows` rows, per-column
+    /// aggregates via `agg`, min/max `summaries`), when the sink can.
+    fn pushdown(
+        &mut self,
+        rows: usize,
+        summaries: &StorageIndex,
+        agg: impl FnOnce(usize) -> Option<ColAgg>,
+    ) -> Option<usize>;
+    /// Take the rows `sel` selects from a hot unit.
+    fn take_hot(&mut self, imcu: &Imcu, sel: &SelBitmap) -> usize;
+    /// Take the rows `sel` selects from a cold file. `None` — with the
+    /// sink untouched — when a column fails to decode.
+    fn take_cold(&mut self, file: &ColdUnitFile, sel: &SelBitmap) -> Option<usize>;
+    /// Take one row image.
+    fn take_row(&mut self, row: &Row);
+    /// Append another unit's partial (merge in unit order).
+    fn absorb(&mut self, other: Self);
+    /// Hand the merged result over.
+    fn finish(self, out: &mut ScanOutput);
 }
 
-impl RowPredicate for Filter {
-    fn matches_row(&self, row: &Row) -> bool {
-        self.eval_row(row)
+/// Materializes survivors as row images.
+#[derive(Default)]
+struct RowSink(Vec<Row>);
+
+impl Sink for RowSink {
+    fn pushdown(
+        &mut self,
+        _: usize,
+        _: &StorageIndex,
+        _: impl FnOnce(usize) -> Option<ColAgg>,
+    ) -> Option<usize> {
+        None
     }
 
-    fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap> {
-        imcu.filter_bitmap(self)
+    fn take_hot(&mut self, imcu: &Imcu, sel: &SelBitmap) -> usize {
+        let before = self.0.len();
+        imcu.materialize_matches(sel, &mut self.0);
+        self.0.len() - before
     }
 
-    fn cold_prunes(&self, meta: &ColdMeta) -> bool {
-        meta.prunes(self)
+    fn take_cold(&mut self, file: &ColdUnitFile, sel: &SelBitmap) -> Option<usize> {
+        // Decode each base column once and gather column-at-a-time, like
+        // the hot materializer. Every decode completes before the sink is
+        // touched, so a corrupt column still degrades to a clean bypass.
+        let rns: Vec<u32> = sel.iter_ones().collect();
+        let base =
+            if rns.is_empty() { 0 } else { file.meta.base_arity.min(file.meta.column_count()) };
+        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(base);
+        for ord in 0..base {
+            let mut values = Vec::with_capacity(rns.len());
+            file.decode_column(ord)?.gather(&rns, &mut values);
+            cols.push(values);
+        }
+        self.0.reserve(rns.len());
+        for i in 0..rns.len() {
+            self.0.push(Row::from_iter_exact(
+                cols.iter_mut().map(|col| std::mem::replace(&mut col[i], Value::Null)),
+            ));
+        }
+        Some(rns.len())
     }
 
-    fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap> {
-        file.filter_bitmap(self)
+    fn take_row(&mut self, row: &Row) {
+        self.0.push(row.clone());
+    }
+
+    fn absorb(&mut self, other: Self) {
+        self.0.extend(other.0);
+    }
+
+    fn finish(self, out: &mut ScanOutput) {
+        out.rows = self.0;
     }
 }
 
-/// One unit's contribution to a scan, merged by the driver in unit order.
-struct UnitPartial {
-    rows: Vec<Row>,
+/// Folds the aggregated column of survivors without materializing rows.
+struct AggSink {
+    ordinal: usize,
+    aggs: Aggregates,
+}
+
+impl Sink for AggSink {
+    fn pushdown(
+        &mut self,
+        rows: usize,
+        summaries: &StorageIndex,
+        agg: impl FnOnce(usize) -> Option<ColAgg>,
+    ) -> Option<usize> {
+        let agg = agg(self.ordinal)?;
+        self.aggs.add_unit(rows, agg, summaries.summary(self.ordinal));
+        Some(rows)
+    }
+
+    fn take_hot(&mut self, imcu: &Imcu, sel: &SelBitmap) -> usize {
+        let before = self.aggs.count;
+        imcu.aggregate_masked(self.ordinal, sel, &mut self.aggs);
+        (self.aggs.count - before) as usize
+    }
+
+    fn take_cold(&mut self, file: &ColdUnitFile, sel: &SelBitmap) -> Option<usize> {
+        // The aggregated column is the only data decoded beyond the
+        // predicate's columns; a missing ordinal aggregates as all-NULL.
+        let before = self.aggs.count;
+        if self.ordinal < file.meta.column_count() {
+            file.decode_column(self.ordinal)?.aggregate_masked(sel, &mut self.aggs);
+        } else {
+            self.aggs.count += sel.count() as u64;
+        }
+        Some((self.aggs.count - before) as usize)
+    }
+
+    fn take_row(&mut self, row: &Row) {
+        self.aggs.add(row.get(self.ordinal));
+    }
+
+    fn absorb(&mut self, other: Self) {
+        self.aggs.merge(&other.aggs);
+    }
+
+    fn finish(self, out: &mut ScanOutput) {
+        out.aggs = self.aggs;
+    }
+}
+
+/// One unit's contribution to a query, merged by the driver in unit order.
+struct UnitPartial<S> {
+    sink: S,
     stats: ScanStats,
     covered: Vec<Dba>,
     timing: UnitTiming,
 }
 
-/// Scan one unit: bypass to the row-store when the columnar data is
-/// unusable, otherwise bitmap-evaluate the predicate, AND the SMU validity
-/// mask, materialize survivors, and reconcile stale locations.
+impl<S: Sink> UnitPartial<S> {
+    /// A row image re-read from the row store: re-filter and take it.
+    fn fallback<P: RowPredicate>(&mut self, pred: &P, row: &Row) {
+        if pred.matches_row(row) {
+            self.sink.take_row(row);
+            self.stats.fallback_rows += 1;
+        }
+    }
+}
+
+/// Run one unit: the cold-tier attempt, the pending / all-invalid bypass,
+/// the columnar bitmap ANDed with the SMU validity mask, and SMU
+/// reconciliation — every stale location re-read from the row store.
 ///
 /// Phase timings are always collected (an `Instant` read per phase is
 /// noise next to the scan itself); the driver discards them unless the
-/// query asked for a profile.
-fn scan_unit<P: RowPredicate>(
+/// plan asked for a profile.
+fn scan_unit<P: RowPredicate, S: Sink>(
     handle: &ImcuHandle,
     store: &Store,
-    pred: &P,
-    snapshot: Scn,
+    plan: &ScanPlan<'_, P>,
+    sink: S,
     unit: usize,
-) -> Result<UnitPartial> {
+) -> Result<UnitPartial<S>> {
     let started = Instant::now();
     handle.note_scan();
     let (imcu, smu) = handle.pair();
-    let mut partial = UnitPartial {
-        rows: Vec::new(),
+    let mut p = UnitPartial {
+        sink,
         stats: ScanStats::default(),
         covered: imcu.dbas.clone(),
         timing: UnitTiming { unit, ..Default::default() },
     };
     let view = smu.read();
-
-    // Cold tier: the unit was evicted (pending placeholder + attached cold
-    // state). Serve it from the columnar file — footer pruning first, then
-    // predicate pushdown during the page read. Any failure (torn file,
-    // CRC mismatch) falls through to the pending bypass below, which is
-    // the plain row-store scan: degraded, never wrong.
-    if imcu.is_pending() && !view.all_invalid() && snapshot >= imcu.snapshot {
-        if let Some(cold) = handle.cold() {
-            if cold.meta.snapshot == imcu.snapshot
-                && scan_unit_cold(&cold, store, pred, snapshot, &view, &mut partial)?
-            {
-                drop(view);
-                partial.timing.total_us = micros(started);
-                return Ok(partial);
-            }
-            partial.stats.cold_read_errors += 1;
-        }
-    }
-
-    if imcu.is_pending() || view.all_invalid() || snapshot < imcu.snapshot {
-        // No usable columnar data (the unit may also be frozen at a
-        // population SCN *after* the scan snapshot, and the SMU only
-        // records post-population changes): serve the whole range from
-        // the row-store at the scan snapshot.
-        drop(view);
-        partial.stats.bypassed_units = 1;
-        partial.timing.bypassed = true;
-        let t = Instant::now();
-        store.scan_blocks(&imcu.dbas, snapshot, |_, row| {
-            if pred.matches_row(row) {
-                partial.rows.push(row.clone());
-                partial.stats.fallback_rows += 1;
-            }
-        })?;
-        partial.timing.fallback_us = micros(t);
-        partial.timing.total_us = micros(started);
-        return Ok(partial);
-    }
-
-    // Columnar path: evaluate every conjunct in column space, AND the
-    // validity mask, materialize only the survivors.
-    let t = Instant::now();
-    match pred.unit_bitmap(&imcu) {
-        None => {
-            partial.stats.pruned_units = 1;
-            partial.timing.pruned = true;
-            partial.timing.kernel_us = micros(t);
-        }
-        Some(mut sel) => {
-            partial.stats.scanned_units = 1;
-            partial.timing.kernel_us = micros(t);
-            let t = Instant::now();
-            if let Some(mask) = view.validity_mask(imcu.rows(), |l| imcu.rownum(l)) {
-                sel.and_assign(&mask);
-            }
-            partial.timing.merge_us = micros(t);
-            let t = Instant::now();
-            imcu.materialize_matches(&sel, &mut partial.rows);
-            partial.stats.imcu_rows = partial.rows.len();
-            partial.timing.kernel_us += micros(t);
-        }
-    }
-
-    // SMU reconciliation: every stale or newly-inserted location must be
-    // re-read from the row-store and re-filtered — its current value may
-    // match even though (or although) the frozen one did not. Batched by
-    // block: one latch per block, not per row. The SMU latch is released
-    // before the row-store fetches.
-    let t = Instant::now();
-    let mut fallback: Vec<imadg_storage::RowLoc> = Vec::with_capacity(view.fallback_count());
-    view.collect_fallback(&mut fallback);
-    drop(view);
-    partial.timing.merge_us += micros(t);
-    let t = Instant::now();
-    store.fetch_rows_batched(&mut fallback, snapshot, |_, row| {
-        if pred.matches_row(row) {
-            partial.rows.push(row.clone());
-            partial.stats.fallback_rows += 1;
-        }
-    })?;
-    partial.timing.fallback_us += micros(t);
-    partial.timing.total_us = micros(started);
-    Ok(partial)
-}
-
-/// Scan one cold unit. Returns `Ok(false)` — with `partial` untouched — on
-/// any open/decode failure so the caller degrades to the row-store bypass.
-///
-/// The pruning decision runs off the in-memory footer before any I/O; only
-/// non-pruned units open the file, and only predicate + surviving base
-/// columns are ever decoded. The SMU journal is honored exactly like the
-/// hot path: serialized rows with journaled DML are masked out of the file
-/// results and re-read from the row store at the scan snapshot.
-fn scan_unit_cold<P: RowPredicate>(
-    cold: &ColdUnit,
-    store: &Store,
-    pred: &P,
-    snapshot: Scn,
-    view: &SmuReadGuard<'_>,
-    partial: &mut UnitPartial,
-) -> Result<bool> {
-    let t = Instant::now();
-    if pred.cold_prunes(&cold.meta) {
-        // Footer min/max excludes every serialized row: zero file I/O.
-        // Journaled rows may still match their *current* version — the
-        // fallback pass below re-reads them from the row store.
-        partial.stats.pruned_units = 1;
-        partial.stats.cold_pruned_units = 1;
-        partial.timing.pruned = true;
-        partial.timing.cold_pruned = true;
-        partial.timing.kernel_us = micros(t);
+    // The unit may also be frozen at a population SCN *after* the scan
+    // snapshot, and the SMU only records post-population changes.
+    let usable = !view.all_invalid() && plan.snapshot >= imcu.snapshot;
+    let columnar = if !usable {
+        false
+    } else if !imcu.is_pending() {
+        hot_columnar(&imcu, plan, &view, &mut p);
+        true
+    } else if let Some(cold) = handle.cold() {
+        // Evicted unit (pending placeholder + attached cold state): serve
+        // it from the columnar file. Any failure (torn file, CRC mismatch)
+        // falls through to the bypass below — degraded, never wrong.
+        let served =
+            cold.meta.snapshot == imcu.snapshot && cold_columnar(&cold, plan, &view, &mut p);
+        p.stats.cold_read_errors += usize::from(!served);
+        served
     } else {
-        let Some(file) = ColdUnitFile::open(&cold.path) else { return Ok(false) };
-        let Some(mut sel) = pred.cold_bitmap(&file) else { return Ok(false) };
-        // Mask out serialized rows with journaled DML. The placeholder
-        // holds no rownums, so the loc → rownum map comes from the file's
-        // own row-location entry (decoded only when the journal is
-        // non-empty).
-        if view.fallback_count() > 0 {
-            let Some(index) = file.loc_index() else { return Ok(false) };
-            if let Some(mask) = view.validity_mask(file.meta.rows, |l| index.get(&l).copied()) {
-                sel.and_assign(&mask);
-            }
-        }
-        // Project only surviving rows: decode each base column once and
-        // gather column-at-a-time, like the hot materializer. All decodes
-        // complete before `partial` is touched, so a corrupt column still
-        // degrades to a clean bypass.
-        let rns: Vec<u32> = sel.iter_ones().collect();
-        let base = cold.meta.base_arity.min(cold.meta.column_count());
-        let mut scratch: Vec<Vec<imadg_storage::Value>> = Vec::with_capacity(base);
-        if !rns.is_empty() {
-            for ord in 0..base {
-                let Some(col) = file.decode_column(ord) else { return Ok(false) };
-                let mut values = Vec::new();
-                col.gather(&rns, &mut values);
-                scratch.push(values);
-            }
-        }
-        cold.note_read();
-        partial.stats.scanned_units = 1;
-        partial.stats.cold_read_units = 1;
-        partial.timing.cold_read = true;
-        partial.rows.reserve(rns.len());
-        for i in 0..rns.len() {
-            partial.rows.push(Row::from_iter_exact(
-                scratch
-                    .iter_mut()
-                    .map(|col| std::mem::replace(&mut col[i], imadg_storage::Value::Null)),
-            ));
-        }
-        partial.stats.imcu_rows = rns.len();
-        partial.timing.kernel_us = micros(t);
-    }
+        false
+    };
 
-    // SMU reconciliation — identical to the hot path: every journaled
-    // location re-reads from the row store at the scan snapshot.
-    let t = Instant::now();
-    let mut fallback: Vec<imadg_storage::RowLoc> = Vec::with_capacity(view.fallback_count());
-    view.collect_fallback(&mut fallback);
-    partial.timing.merge_us += micros(t);
-    let t = Instant::now();
-    store.fetch_rows_batched(&mut fallback, snapshot, |_, row| {
-        if pred.matches_row(row) {
-            partial.rows.push(row.clone());
-            partial.stats.fallback_rows += 1;
-        }
-    })?;
-    partial.timing.fallback_us += micros(t);
-    Ok(true)
+    if columnar {
+        // SMU reconciliation: every stale or newly-inserted location must
+        // be re-read from the row store and re-filtered — its current
+        // value may match even though the frozen one did not. Batched by
+        // block: one latch per block, not per row. The SMU latch is
+        // released before the row-store fetches.
+        let t = Instant::now();
+        let mut stale = Vec::with_capacity(view.fallback_count());
+        view.collect_fallback(&mut stale);
+        drop(view);
+        p.timing.merge_us += micros(t);
+        let t = Instant::now();
+        store.fetch_rows_batched(&mut stale, plan.snapshot, |_, row| p.fallback(plan.pred, row))?;
+        p.timing.fallback_us += micros(t);
+    } else {
+        // No usable columnar data: the whole range from the row store.
+        drop(view);
+        p.stats.bypassed_units = 1;
+        p.timing.bypassed = true;
+        let t = Instant::now();
+        store.scan_blocks(&imcu.dbas, plan.snapshot, |_, row| p.fallback(plan.pred, row))?;
+        p.timing.fallback_us = micros(t);
+    }
+    p.timing.total_us = micros(started);
+    Ok(p)
 }
 
-/// The unified unit-walk driver behind every scan entry point: fan the
-/// per-unit tasks across `degree` workers, merge partials in unit order
-/// (deterministic at any degree), then sweep the uncovered block frontier.
-fn scan_units<P: RowPredicate>(
-    entries: &[Arc<ObjectImcs>],
+/// The columnar step of a hot unit: O(1) metadata pushdown when the sink
+/// can and nothing is stale, otherwise the predicate bitmap ANDed with the
+/// SMU validity mask, survivors handed to the sink.
+fn hot_columnar<P: RowPredicate, S: Sink>(
+    imcu: &Imcu,
+    plan: &ScanPlan<'_, P>,
+    view: &SmuReadGuard<'_>,
+    p: &mut UnitPartial<S>,
+) {
+    let t = Instant::now();
+    let clean = plan.pred.matches_all() && view.fallback_count() == 0;
+    let agg = |o| imcu.column_agg(o);
+    if let Some(n) = clean.then(|| p.sink.pushdown(imcu.rows(), &imcu.storage_index, agg)).flatten()
+    {
+        p.stats.imcu_rows = n;
+        p.stats.pushdown_units = 1;
+        p.timing.kernel_us = micros(t);
+        return;
+    }
+    let Some(mut sel) = plan.pred.unit_bitmap(imcu) else {
+        p.stats.pruned_units = 1;
+        p.timing.pruned = true;
+        p.timing.kernel_us = micros(t);
+        return;
+    };
+    p.stats.scanned_units = 1;
+    p.timing.kernel_us = micros(t);
+    let t = Instant::now();
+    if let Some(mask) = view.validity_mask(imcu.rows(), |l| imcu.rownum(l)) {
+        sel.and_assign(&mask);
+    }
+    p.timing.merge_us = micros(t);
+    let t = Instant::now();
+    p.stats.imcu_rows = p.sink.take_hot(imcu, &sel);
+    p.timing.kernel_us += micros(t);
+}
+
+/// The columnar step of a cold unit. Returns `false` — with `p` untouched
+/// — on any open/decode failure so the caller degrades to the bypass.
+///
+/// Three tiers of work avoidance, cheapest first: footer pushdown, footer
+/// min/max pruning (both zero file I/O), and only then the file — decoding
+/// just the predicate's columns plus what the sink needs. Serialized rows
+/// with journaled DML are masked out through the file's own loc index.
+fn cold_columnar<P: RowPredicate, S: Sink>(
+    cold: &ColdUnit,
+    plan: &ScanPlan<'_, P>,
+    view: &SmuReadGuard<'_>,
+    p: &mut UnitPartial<S>,
+) -> bool {
+    let t = Instant::now();
+    let meta = &cold.meta;
+    let clean = plan.pred.matches_all() && view.fallback_count() == 0;
+    let agg = |o: usize| meta.col_aggs.get(o).copied();
+    if let Some(n) = clean.then(|| p.sink.pushdown(meta.rows, &meta.summaries, agg)).flatten() {
+        p.stats.imcu_rows = n;
+        p.stats.pushdown_units = 1;
+        p.stats.cold_pruned_units = 1;
+        p.timing.cold_pruned = true;
+    } else if plan.pred.cold_prunes(meta) {
+        // Journaled rows may still match their *current* version — the
+        // reconciliation pass re-reads them from the row store.
+        p.stats.pruned_units = 1;
+        p.stats.cold_pruned_units = 1;
+        p.timing.pruned = true;
+        p.timing.cold_pruned = true;
+    } else {
+        let Some(n) = cold_read(cold, plan, view, &mut p.sink) else { return false };
+        cold.note_read();
+        p.stats.imcu_rows = n;
+        p.stats.scanned_units = 1;
+        p.stats.cold_read_units = 1;
+        p.timing.cold_read = true;
+    }
+    p.timing.kernel_us = micros(t);
+    true
+}
+
+/// Open a cold file, evaluate the predicate on disk, mask out journaled
+/// rows, and hand the survivors to the sink.
+fn cold_read<P: RowPredicate, S: Sink>(
+    cold: &ColdUnit,
+    plan: &ScanPlan<'_, P>,
+    view: &SmuReadGuard<'_>,
+    sink: &mut S,
+) -> Option<usize> {
+    let file = ColdUnitFile::open(&cold.path)?;
+    let mut sel = plan.pred.cold_bitmap(&file)?;
+    // The placeholder holds no rownums, so the loc → rownum map comes from
+    // the file's row-location entry (decoded only when the journal is
+    // non-empty).
+    if view.fallback_count() > 0 {
+        let index = file.loc_index()?;
+        if let Some(mask) = view.validity_mask(file.meta.rows, |l| index.get(&l).copied()) {
+            sel.and_assign(&mask);
+        }
+    }
+    sink.take_cold(&file, &sel)
+}
+
+/// The one driver: fan the per-unit tasks across `plan.degree` workers,
+/// merge partials in unit order (deterministic at any degree), then sweep
+/// the uncovered block frontier.
+fn drive<P: RowPredicate, S: Sink>(
+    handles: &[Arc<ImcuHandle>],
     store: &Store,
     object: ObjectId,
-    pred: &P,
-    snapshot: Scn,
-    degree: usize,
-    profile: bool,
-) -> Result<ScanResult> {
-    let handles: Vec<Arc<ImcuHandle>> = entries.iter().flat_map(|e| e.handles()).collect();
-    let partials = run_indexed(degree, handles.len(), |i| {
-        scan_unit(handles[i].as_ref(), store, pred, snapshot, i)
+    plan: &ScanPlan<'_, P>,
+    sink: impl Fn() -> S + Sync,
+) -> Result<ScanOutput> {
+    let partials = run_indexed(plan.degree, handles.len(), |i| {
+        scan_unit(handles[i].as_ref(), store, plan, sink(), i)
     });
 
-    let mut result = ScanResult::default();
-    let mut prof = profile.then(QueryProfile::default);
+    let mut out = ScanOutput::default();
+    let mut prof = plan.profile.then(QueryProfile::default);
+    let mut merged = sink();
     let mut covered: Vec<Dba> = Vec::new();
     for partial in partials {
         let p = partial?;
         if let Some(prof) = prof.as_mut() {
             prof.absorb_task(p.timing);
         }
-        result.stats.absorb(&p.stats);
-        result.rows.extend(p.rows);
+        out.stats.absorb(&p.stats);
+        merged.absorb(p.sink);
         covered.extend(p.covered);
     }
-    result.stats.parallel_tasks = handles.len();
+    out.stats.parallel_tasks = handles.len();
 
     // Blocks beyond any unit's coverage (fresh inserts past the edge
     // IMCU). Sorted-vec membership instead of a hash set: the DBA lists
@@ -385,256 +510,56 @@ fn scan_units<P: RowPredicate>(
         .filter(|d| covered.binary_search(d).is_err())
         .collect();
     if !uncovered.is_empty() {
-        store.scan_blocks(&uncovered, snapshot, |_, row| {
-            if pred.matches_row(row) {
-                result.rows.push(row.clone());
-                result.stats.uncovered_rows += 1;
+        store.scan_blocks(&uncovered, plan.snapshot, |_, row| {
+            if plan.pred.matches_row(row) {
+                merged.take_row(row);
+                out.stats.uncovered_rows += 1;
             }
         })?;
     }
     if let Some(prof) = prof.as_mut() {
         prof.uncovered_us = micros(t);
-        prof.parallel_degree = degree.max(1);
+        prof.parallel_degree = plan.degree.max(1);
     }
-    result.profile = prof;
-
-    Ok(result)
+    merged.finish(&mut out);
+    out.profile = prof;
+    Ok(out)
 }
 
-/// Run a filtered scan of `object` at `snapshot` through the column store,
-/// falling back to the row-store where the IMCS is stale or uncovered.
+/// Execute `plan` against `object` across the given column stores (one per
+/// instance; a RAC standby distributes IMCUs by home location, so a query
+/// fans out across every instance's units — modelling Oracle's
+/// cross-instance parallel execution), falling back to the row store where
+/// the column store is stale or uncovered.
 ///
 /// Returns `Ok(None)` when the object has no column-store presence at all
-/// on this instance — the caller should run a plain row-store scan.
-pub fn scan(
-    imcs: &ImcsStore,
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-) -> Result<Option<ScanResult>> {
-    scan_parallel(imcs, store, object, filter, snapshot, 1)
-}
-
-/// [`scan`] with an explicit parallel degree (`<= 1` = serial).
-pub fn scan_parallel(
-    imcs: &ImcsStore,
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    match imcs.object(object) {
-        Some(obj) => scan_units(&[obj], store, object, filter, snapshot, degree, false).map(Some),
-        None => Ok(None),
-    }
-}
-
-/// Cluster-wide scan over several instances' column stores (RAC standby:
-/// IMCUs are distributed by home location, so a query fans out across every
-/// instance's units — modelling Oracle's cross-instance parallel execution).
-pub fn scan_cluster(
+/// — the caller should run a plain row-store scan.
+pub fn execute<P: RowPredicate>(
     stores: &[Arc<ImcsStore>],
     store: &Store,
     object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-) -> Result<Option<ScanResult>> {
-    scan_cluster_parallel(stores, store, object, filter, snapshot, 1)
-}
-
-/// [`scan_cluster`] with an explicit parallel degree (`<= 1` = serial).
-pub fn scan_cluster_parallel(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
+    plan: &ScanPlan<'_, P>,
+) -> Result<Option<ScanOutput>> {
+    let entries: Vec<_> = stores.iter().filter_map(|s| s.object(object)).collect();
     if entries.is_empty() {
         return Ok(None);
     }
-    scan_units(&entries, store, object, filter, snapshot, degree, false).map(Some)
-}
-
-/// [`scan_cluster_parallel`] with per-phase timing: the result's
-/// `profile` carries the pruning / kernel / journal-merge / fallback /
-/// uncovered split and one [`UnitTiming`] per parallel task.
-pub fn scan_cluster_profiled(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    filter: &Filter,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
+    let handles: Vec<Arc<ImcuHandle>> = entries.iter().flat_map(|e| e.handles()).collect();
+    match plan.output {
+        Output::Rows => drive(&handles, store, object, plan, RowSink::default),
+        Output::Aggregate(ordinal) => drive(&handles, store, object, plan, || AggSink {
+            ordinal,
+            aggs: Aggregates::default(),
+        }),
     }
-    scan_units(&entries, store, object, filter, snapshot, degree, true).map(Some)
-}
-
-/// A predicate over a registered in-memory expression (paper §V):
-/// `<expr> <op> <literal>`, filtered through the precomputed virtual
-/// column when a unit materialized it, or by evaluating the expression
-/// over row images otherwise.
-#[derive(Debug, Clone)]
-pub struct ExprPredicate {
-    /// The registered expression's name.
-    pub name: String,
-    /// The expression (for row-image fallback evaluation).
-    pub expr: std::sync::Arc<Expr>,
-    /// Comparison operator.
-    pub op: CmpOp,
-    /// Literal to compare against.
-    pub value: imadg_storage::Value,
-}
-
-impl ExprPredicate {
-    /// Evaluate against a row image.
-    pub fn eval_row(&self, row: &Row) -> bool {
-        let v = self.expr.eval(row);
-        match (&v, &self.value) {
-            (imadg_storage::Value::Int(a), imadg_storage::Value::Int(b)) => {
-                self.op.matches(a.cmp(b))
-            }
-            (imadg_storage::Value::Str(a), imadg_storage::Value::Str(b)) => {
-                self.op.matches(a.as_ref().cmp(b.as_ref()))
-            }
-            _ => false,
-        }
-    }
-}
-
-impl RowPredicate for ExprPredicate {
-    fn matches_row(&self, row: &Row) -> bool {
-        self.eval_row(row)
-    }
-
-    fn unit_bitmap(&self, imcu: &Imcu) -> Option<SelBitmap> {
-        match imcu.virtual_ordinal(&self.name) {
-            Some(vord) => {
-                // Fast path: the expression was materialized at population —
-                // filter the encoded virtual column like any base column.
-                let vpred = Predicate { ordinal: vord, op: self.op, value: self.value.clone() };
-                if !imcu.storage_index.may_match(&vpred) {
-                    return None;
-                }
-                Some(imcu.pred_bitmap(&vpred))
-            }
-            None => {
-                // Unit predates the expression registration: evaluate over
-                // materialized rows (correct, just not accelerated).
-                let mut sel = SelBitmap::zeroes(imcu.rows());
-                for rn in imcu.all_rows() {
-                    if self.eval_row(&imcu.materialize(rn)) {
-                        sel.set(rn as usize);
-                    }
-                }
-                Some(sel)
-            }
-        }
-    }
-
-    fn cold_prunes(&self, meta: &ColdMeta) -> bool {
-        match meta.virtual_ordinal(&self.name) {
-            Some(vord) => {
-                let vpred = Predicate { ordinal: vord, op: self.op, value: self.value.clone() };
-                !meta.summaries.may_match(&vpred)
-            }
-            // No materialized virtual column: footer min/max says nothing
-            // about the expression's value range — cannot prune.
-            None => false,
-        }
-    }
-
-    fn cold_bitmap(&self, file: &ColdUnitFile) -> Option<SelBitmap> {
-        match file.meta.virtual_ordinal(&self.name) {
-            Some(vord) => {
-                // The expression was materialized at population: decode
-                // only its virtual column and filter it like a base column.
-                let vpred = Predicate { ordinal: vord, op: self.op, value: self.value.clone() };
-                let col = file.decode_column(vord)?;
-                let mut sel = SelBitmap::zeroes(file.meta.rows);
-                col.scan_bitmap(&vpred, &mut sel);
-                Some(sel)
-            }
-            None => {
-                // File predates the expression registration: decode every
-                // base column and evaluate over row images (correct, just
-                // not accelerated — mirrors the hot path's fallback).
-                let imcu = file.into_imcu()?;
-                let mut sel = SelBitmap::zeroes(imcu.rows());
-                for rn in imcu.all_rows() {
-                    if self.eval_row(&imcu.materialize(rn)) {
-                        sel.set(rn as usize);
-                    }
-                }
-                Some(sel)
-            }
-        }
-    }
-}
-
-/// Scan `object` filtered by an in-memory expression predicate.
-///
-/// Units that materialized the expression's virtual column are filtered in
-/// code space (with storage-index pruning on the virtual column); stale
-/// rows, pre-registration units, and uncovered blocks evaluate the
-/// expression per row image — correctness never depends on the virtual
-/// column being present.
-pub fn scan_expression(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-) -> Result<Option<ScanResult>> {
-    scan_expression_parallel(stores, store, object, pred, snapshot, 1)
-}
-
-/// [`scan_expression`] with an explicit parallel degree (`<= 1` = serial).
-pub fn scan_expression_parallel(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
-    }
-    scan_units(&entries, store, object, pred, snapshot, degree, false).map(Some)
-}
-
-/// [`scan_expression_parallel`] with per-phase timing (see
-/// [`scan_cluster_profiled`]).
-pub fn scan_expression_profiled(
-    stores: &[Arc<ImcsStore>],
-    store: &Store,
-    object: ObjectId,
-    pred: &ExprPredicate,
-    snapshot: Scn,
-    degree: usize,
-) -> Result<Option<ScanResult>> {
-    let entries: Vec<Arc<ObjectImcs>> = stores.iter().filter_map(|s| s.object(object)).collect();
-    if entries.is_empty() {
-        return Ok(None);
-    }
-    scan_units(&entries, store, object, pred, snapshot, degree, true).map(Some)
+    .map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::population::{PopulationEngine, SnapshotSource};
-    use crate::predicate::Predicate;
+    use crate::predicate::{CmpOp, Filter, Predicate};
     use imadg_common::{ImcsConfig, RedoThreadId, ScnService, TenantId};
     use imadg_redo::LogBuffer;
     use imadg_storage::{ColumnType, DbaAllocator, Schema, TableSpec, Value};
@@ -702,6 +627,16 @@ mod tests {
 
     fn schema(f: &Fixture) -> Schema {
         f.store.table(OBJ).unwrap().schema.read().clone()
+    }
+
+    fn scan(
+        imcs: &Arc<ImcsStore>,
+        store: &Store,
+        object: ObjectId,
+        filter: &Filter,
+        snapshot: Scn,
+    ) -> Result<Option<ScanOutput>> {
+        execute(std::slice::from_ref(imcs), store, object, &ScanPlan::new(filter, snapshot))
     }
 
     #[test]
@@ -898,15 +833,89 @@ mod tests {
         f.engine.run_once().unwrap();
         let filt = Filter::of(Predicate::eq(&schema(&f), "n1", Value::Int(4)).unwrap());
         let snapshot = f.scns.current();
-        let serial =
-            scan_parallel(f.engine.imcs(), &f.store, OBJ, &filt, snapshot, 1).unwrap().unwrap();
+        let stores = [f.engine.imcs().clone()];
+        let serial = scan(f.engine.imcs(), &f.store, OBJ, &filt, snapshot).unwrap().unwrap();
         for degree in [2, 4, 8] {
-            let par = scan_parallel(f.engine.imcs(), &f.store, OBJ, &filt, snapshot, degree)
-                .unwrap()
-                .unwrap();
+            let plan = ScanPlan { degree, ..ScanPlan::new(&filt, snapshot) };
+            let par = execute(&stores, &f.store, OBJ, &plan).unwrap().unwrap();
             assert_eq!(par.rows, serial.rows, "degree {degree}");
             assert_eq!(par.stats, serial.stats, "degree {degree}");
         }
         assert!(serial.stats.parallel_tasks > 1);
+    }
+
+    /// A row inserted into a covered block, updated, carried over a
+    /// repopulation whose snapshot falls between the two changes, and
+    /// updated again is one stale location: row scans and aggregates
+    /// count it exactly once.
+    #[test]
+    fn row_changed_across_a_repopulation_is_served_once() {
+        let f = fixture();
+        seed(&f, 0, 12); // blocks of 8: the second block has free slots
+        f.engine.run_once().unwrap();
+        let change = |k: i64, n1: i64| {
+            let mut tx = f.txm.begin(TenantId::DEFAULT);
+            let loc = f.txm.update_column_by_key(&mut tx, OBJ, k, "n1", Value::Int(n1)).unwrap();
+            let scn = f.txm.commit(tx);
+            f.engine.imcs().invalidate(OBJ, loc, scn);
+            scn
+        };
+        let mut tx = f.txm.begin(TenantId::DEFAULT);
+        let loc = f.txm.insert(&mut tx, OBJ, vec![Value::Int(100), Value::Int(0), Value::str("x")]);
+        let loc = loc.unwrap();
+        let inserted = f.txm.commit(tx);
+        let handle = f.engine.imcs().object(OBJ).unwrap().covering(loc.dba).unwrap();
+        assert!(handle.imcu().rownum(loc).is_none(), "a post-snapshot insert");
+        f.engine.imcs().invalidate(OBJ, loc, inserted);
+        change(100, 1);
+        // Repopulate at the insert's SCN: the rebuilt unit holds the row,
+        // and the newer update carries over.
+        let old = handle.imcu();
+        let sc = schema(&f);
+        handle
+            .swap(Imcu::build(&f.store, OBJ, old.tenant, old.dbas.clone(), inserted, &sc).unwrap());
+        assert!(handle.imcu().rownum(loc).is_some());
+        change(100, 2);
+
+        let snapshot = f.scns.current();
+        let all = Filter::all();
+        let r = scan(f.engine.imcs(), &f.store, OBJ, &all, snapshot).unwrap().unwrap();
+        let hits = r.rows.iter().filter(|row| row[0] == Value::Int(100)).count();
+        assert_eq!(hits, 1, "the row is served once");
+        assert_eq!(r.rows.len(), 13);
+        let stores = [f.engine.imcs().clone()];
+        let plan = ScanPlan { output: Output::Aggregate(1), ..ScanPlan::new(&all, snapshot) };
+        let agg = execute(&stores, &f.store, OBJ, &plan).unwrap().unwrap();
+        assert_eq!(agg.aggs.count, 13, "the row is counted once");
+        assert_eq!(agg.aggs.sum, (0..12).map(|k| k % 10).sum::<i128>() + 2);
+    }
+
+    /// An expression predicate drives both outputs: the aggregate folds
+    /// exactly the rows the expression scan returns.
+    #[test]
+    fn expression_predicate_serves_rows_and_aggregates() {
+        let f = fixture();
+        seed(&f, 0, 60);
+        f.engine.run_once().unwrap();
+        let expr = Arc::new(crate::Expr::Add(
+            Box::new(crate::Expr::Column(0)),
+            Box::new(crate::Expr::Column(1)),
+        ));
+        let pred = crate::ExprPredicate {
+            name: "id_plus_n1".into(),
+            expr,
+            op: CmpOp::Lt,
+            value: Value::Int(20),
+        };
+        let stores = [f.engine.imcs().clone()];
+        let snapshot = f.scns.current();
+        let rows = execute(&stores, &f.store, OBJ, &ScanPlan::new(&pred, snapshot)).unwrap();
+        let rows = rows.unwrap().rows;
+        let plan = ScanPlan { output: Output::Aggregate(1), ..ScanPlan::new(&pred, snapshot) };
+        let agg = execute(&stores, &f.store, OBJ, &plan).unwrap().unwrap();
+        assert_eq!(agg.aggs.count as usize, rows.len());
+        let sum: i128 = rows.iter().map(|r| i128::from(r[1].as_int().unwrap())).sum();
+        assert_eq!(agg.aggs.sum, sum);
+        assert_eq!(agg.stats.pushdown_units, 0, "a predicate forbids metadata pushdown");
     }
 }

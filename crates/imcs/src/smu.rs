@@ -6,8 +6,8 @@
 //! the scan engine reconciles IMCU data against the SMU and fetches stale
 //! rows from the row-store instead.
 //!
-//! Invalidations are keyed by *physical location* and carry the commit SCN
-//! of the invalidating transaction. Keeping the SCN makes repopulation
+//! Stale locations are keyed by *physical location* and carry the latest
+//! commit SCN that changed them. Keeping the SCN makes repopulation
 //! carry-over exact: when a unit is rebuilt at snapshot `S`, entries with
 //! commit SCN ≤ `S` are absorbed by the rebuild and dropped; later entries
 //! transfer to the fresh SMU.
@@ -24,22 +24,16 @@ pub struct Smu {
     inner: RwLock<SmuState>,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct SmuState {
-    /// Rows present in the IMCU whose current version is newer than the
-    /// unit's snapshot: location → earliest invalidating commit SCN.
-    invalid: HashMap<RowLoc, Scn>,
-    /// Rows inserted into covered blocks *after* the unit's snapshot (the
-    /// unit has no rownum for them): location → inserting commit SCN.
-    inserted: HashMap<RowLoc, Scn>,
+    /// Locations whose row-store version is newer than the unit's snapshot
+    /// — updated or deleted unit rows and post-snapshot inserts into
+    /// covered blocks alike: location → latest changing commit SCN. One
+    /// map, so a location is re-read from the row store at most once even
+    /// when it was an insert before a repopulation and an update after it.
+    stale: HashMap<RowLoc, Scn>,
     /// Coarse invalidation: the whole unit is unusable (§III.E).
     all_invalid: bool,
-}
-
-/// A consistent read-only view of an SMU, taken once per scan.
-#[derive(Debug, Clone)]
-pub struct SmuView {
-    state: SmuState,
 }
 
 /// Borrowed, lock-held SMU view (no cloning).
@@ -53,18 +47,16 @@ impl SmuReadGuard<'_> {
         self.guard.all_invalid
     }
 
-    /// Is this IMCU row stale? (see [`SmuView::is_invalid`])
+    /// Must this location be served from the row store rather than the
+    /// unit? A location first seen as a post-snapshot insert may be present
+    /// in a rebuilt unit while still carrying a newer change.
     pub fn is_invalid(&self, loc: RowLoc) -> bool {
-        self.guard.all_invalid
-            || self.guard.invalid.contains_key(&loc)
-            || self.guard.inserted.contains_key(&loc)
+        self.guard.all_invalid || self.guard.stale.contains_key(&loc)
     }
 
-    /// Copy out the fallback locations (invalidated rows + post-snapshot
-    /// inserts).
+    /// Copy out the fallback locations, each exactly once.
     pub fn collect_fallback(&self, out: &mut Vec<RowLoc>) {
-        out.extend(self.guard.invalid.keys().copied());
-        out.extend(self.guard.inserted.keys().copied());
+        out.extend(self.guard.stale.keys().copied());
     }
 
     /// Convert the validity state to mask form for the bitmap scan path:
@@ -82,7 +74,7 @@ impl SmuReadGuard<'_> {
             return None;
         }
         let mut mask = crate::bitmap::SelBitmap::ones(rows);
-        for loc in self.guard.invalid.keys().chain(self.guard.inserted.keys()) {
+        for loc in self.guard.stale.keys() {
             if let Some(rn) = rownum(*loc) {
                 mask.clear(rn as usize);
             }
@@ -90,44 +82,9 @@ impl SmuReadGuard<'_> {
         Some(mask)
     }
 
-    /// Total fallback locations.
+    /// Number of fallback locations.
     pub fn fallback_count(&self) -> usize {
-        self.guard.invalid.len() + self.guard.inserted.len()
-    }
-}
-
-impl SmuView {
-    /// Is the whole unit invalid?
-    pub fn all_invalid(&self) -> bool {
-        self.state.all_invalid
-    }
-
-    /// Is this IMCU row stale?
-    ///
-    /// Checks the insert map too: after a repopulation carry-over, a
-    /// location first seen as a post-snapshot insert may now be present in
-    /// the rebuilt unit while still carrying a newer change — it must be
-    /// served from the row-store, not from the unit.
-    pub fn is_invalid(&self, loc: RowLoc) -> bool {
-        self.state.all_invalid
-            || self.state.invalid.contains_key(&loc)
-            || self.state.inserted.contains_key(&loc)
-    }
-
-    /// Locations needing row-store fallback: every invalidated row plus
-    /// every post-snapshot insert into covered blocks.
-    pub fn fallback_locs(&self) -> impl Iterator<Item = RowLoc> + '_ {
-        self.state.invalid.keys().chain(self.state.inserted.keys()).copied()
-    }
-
-    /// Number of invalidated IMCU rows.
-    pub fn invalid_count(&self) -> usize {
-        self.state.invalid.len()
-    }
-
-    /// Number of tracked post-snapshot inserts.
-    pub fn inserted_count(&self) -> usize {
-        self.state.inserted.len()
+        self.guard.stale.len()
     }
 }
 
@@ -137,23 +94,15 @@ impl Smu {
         Smu::default()
     }
 
-    /// Mark an IMCU row stale as of `commit_scn` (invalidation flush).
+    /// Mark a location stale as of `commit_scn` (invalidation flush): an
+    /// update or delete of a unit row, or an insert into a covered block.
     ///
     /// Repeated invalidations keep the *latest* commit SCN: a rebuild at
     /// snapshot `S` absorbs changes committed at or before `S`, so an entry
-    /// must survive carry-over iff its newest invalidating commit is > `S`.
+    /// must survive carry-over iff its newest change is > `S`.
     pub fn invalidate_row(&self, loc: RowLoc, commit_scn: Scn) {
         let mut s = self.inner.write();
-        let e = s.invalid.entry(loc).or_insert(commit_scn);
-        *e = (*e).max(commit_scn);
-    }
-
-    /// Record a post-snapshot insert into a covered block. Later changes to
-    /// the same inserted row keep the latest commit SCN (same carry-over
-    /// rule as `invalidate_row`).
-    pub fn record_insert(&self, loc: RowLoc, commit_scn: Scn) {
-        let mut s = self.inner.write();
-        let e = s.inserted.entry(loc).or_insert(commit_scn);
+        let e = s.stale.entry(loc).or_insert(commit_scn);
         *e = (*e).max(commit_scn);
     }
 
@@ -162,16 +111,10 @@ impl Smu {
         self.inner.write().all_invalid = true;
     }
 
-    /// Snapshot the state for one scan (clones the maps — use
-    /// [`Smu::read`] on hot paths).
-    pub fn view(&self) -> SmuView {
-        SmuView { state: self.inner.read().clone() }
-    }
-
-    /// Lock-held view for the scan hot path: no map cloning. The guard
-    /// blocks invalidation flushes for its (short) lifetime, mirroring the
-    /// SMU latch scans and flushes share in the paper's design (§II.B:
-    /// "SMUs provide concurrency control").
+    /// Lock-held view for one scan: no map cloning. The guard blocks
+    /// invalidation flushes for its (short) lifetime, mirroring the SMU
+    /// latch scans and flushes share in the paper's design (§II.B: "SMUs
+    /// provide concurrency control").
     pub fn read(&self) -> SmuReadGuard<'_> {
         SmuReadGuard { guard: self.inner.read() }
     }
@@ -186,9 +129,9 @@ impl Smu {
         }
         if rows == 0 {
             // An empty unit with tracked inserts is pure fallback: fully stale.
-            return if s.inserted.is_empty() { 0.0 } else { 1.0 };
+            return if s.stale.is_empty() { 0.0 } else { 1.0 };
         }
-        (s.invalid.len() + s.inserted.len()) as f64 / rows as f64
+        s.stale.len() as f64 / rows as f64
     }
 
     /// Build the successor SMU for a unit rebuilt at snapshot `rebuild`:
@@ -196,18 +139,8 @@ impl Smu {
     /// snapshot (older ones are absorbed into the new unit's data).
     pub fn carry_over(&self, rebuild: Scn) -> Smu {
         let s = self.inner.read();
-        let mut fresh = SmuState::default();
-        for (&loc, &scn) in &s.invalid {
-            if scn > rebuild {
-                fresh.invalid.insert(loc, scn);
-            }
-        }
-        for (&loc, &scn) in &s.inserted {
-            if scn > rebuild {
-                fresh.inserted.insert(loc, scn);
-            }
-        }
-        Smu { inner: RwLock::new(fresh) }
+        let stale = s.stale.iter().filter(|(_, &scn)| scn > rebuild).map(|(&l, &s)| (l, s));
+        Smu { inner: RwLock::new(SmuState { stale: stale.collect(), all_invalid: false }) }
     }
 }
 
@@ -221,14 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_view() {
+    fn invalidate_and_read() {
         let smu = Smu::new();
         smu.invalidate_row(loc(1, 0), Scn(10));
-        let v = smu.view();
+        let v = smu.read();
         assert!(v.is_invalid(loc(1, 0)));
         assert!(!v.is_invalid(loc(1, 1)));
-        assert_eq!(v.invalid_count(), 1);
-        assert_eq!(v.fallback_locs().count(), 1);
+        assert_eq!(v.fallback_count(), 1);
     }
 
     #[test]
@@ -239,23 +171,25 @@ mod tests {
         // A rebuild at 15 absorbs the SCN-10 change but NOT the SCN-20 one:
         // the entry must survive carry-over.
         let fresh = smu.carry_over(Scn(15));
-        assert_eq!(fresh.view().invalid_count(), 1);
+        assert_eq!(fresh.read().fallback_count(), 1);
         // A rebuild at 25 absorbs both.
-        assert_eq!(smu.carry_over(Scn(25)).view().invalid_count(), 0);
+        assert_eq!(smu.carry_over(Scn(25)).read().fallback_count(), 0);
     }
 
     #[test]
-    fn inserts_tracked_and_treated_invalid() {
+    fn a_location_falls_back_once_across_a_carry_over() {
+        // Insert (SCN 8), update (SCN 12), rebuild at 10, update again
+        // (SCN 14): the location is one stale entry, fetched once.
         let smu = Smu::new();
-        smu.record_insert(loc(2, 3), Scn(8));
-        let v = smu.view();
-        assert!(
-            v.is_invalid(loc(2, 3)),
-            "an inserted loc must never be served from a unit that holds it (carry-over case)"
-        );
-        assert_eq!(v.inserted_count(), 1);
-        assert_eq!(v.invalid_count(), 0);
-        assert_eq!(v.fallback_locs().count(), 1);
+        smu.invalidate_row(loc(2, 3), Scn(8));
+        smu.invalidate_row(loc(2, 3), Scn(12));
+        let fresh = smu.carry_over(Scn(10));
+        fresh.invalidate_row(loc(2, 3), Scn(14));
+        let v = fresh.read();
+        assert!(v.is_invalid(loc(2, 3)));
+        let mut locs = Vec::new();
+        v.collect_fallback(&mut locs);
+        assert_eq!(locs, vec![loc(2, 3)]);
     }
 
     #[test]
@@ -265,7 +199,7 @@ mod tests {
         for i in 0..10 {
             smu.invalidate_row(loc(1, i), Scn(5));
         }
-        smu.record_insert(loc(9, 0), Scn(6));
+        smu.invalidate_row(loc(9, 0), Scn(6));
         assert!((smu.staleness(100) - 0.11).abs() < 1e-9);
         smu.mark_all_invalid();
         assert_eq!(smu.staleness(100), 1.0);
@@ -275,7 +209,7 @@ mod tests {
     fn staleness_of_empty_unit() {
         let smu = Smu::new();
         assert_eq!(smu.staleness(0), 0.0);
-        smu.record_insert(loc(1, 0), Scn(5));
+        smu.invalidate_row(loc(1, 0), Scn(5));
         assert_eq!(smu.staleness(0), 1.0, "inserts force fallback on an empty unit");
     }
 
@@ -284,13 +218,13 @@ mod tests {
         let smu = Smu::new();
         smu.invalidate_row(loc(1, 0), Scn(10));
         smu.invalidate_row(loc(1, 1), Scn(30));
-        smu.record_insert(loc(1, 2), Scn(10));
-        smu.record_insert(loc(1, 3), Scn(30));
+        smu.invalidate_row(loc(1, 2), Scn(10));
+        smu.invalidate_row(loc(1, 3), Scn(30));
         let fresh = smu.carry_over(Scn(20));
-        let v = fresh.view();
+        let v = fresh.read();
         assert!(!v.is_invalid(loc(1, 0)), "absorbed by rebuild");
         assert!(v.is_invalid(loc(1, 1)), "newer than rebuild: carried");
-        assert_eq!(v.inserted_count(), 1);
+        assert_eq!(v.fallback_count(), 2);
         assert!(!v.all_invalid());
     }
 
@@ -299,7 +233,7 @@ mod tests {
         let smu = Smu::new();
         assert!(smu.read().validity_mask(8, |_| None).is_none(), "fully valid → no mask");
         smu.invalidate_row(loc(1, 2), Scn(5));
-        smu.record_insert(loc(1, 9), Scn(6));
+        smu.invalidate_row(loc(1, 9), Scn(6));
         let rownum = |l: RowLoc| if l.slot < 8 { Some(l.slot as u32) } else { None };
         let mask = smu.read().validity_mask(8, rownum).unwrap();
         assert!(!mask.get(2), "invalidated row cleared");
@@ -310,7 +244,7 @@ mod tests {
     fn all_invalid_dominates() {
         let smu = Smu::new();
         smu.mark_all_invalid();
-        let v = smu.view();
+        let v = smu.read();
         assert!(v.all_invalid());
         assert!(v.is_invalid(loc(42, 42)));
     }

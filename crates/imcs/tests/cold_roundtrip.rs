@@ -20,7 +20,8 @@ use std::sync::Arc;
 use imadg_common::metrics::TierMetrics;
 use imadg_common::{ImcsConfig, ObjectId, RedoThreadId, ScnService, TenantId};
 use imadg_imcs::{
-    scalar, scan, CmpOp, ColdTier, Filter, ImcsStore, PopulationEngine, Predicate, SnapshotSource,
+    execute, scalar, CmpOp, ColdTier, Filter, ImcsStore, PopulationEngine, Predicate, ScanPlan,
+    SnapshotSource,
 };
 use imadg_redo::LogBuffer;
 use imadg_storage::{ColumnType, DbaAllocator, Schema, Store, TableSpec, Value};
@@ -223,10 +224,24 @@ proptest! {
 
         // Cold scans: filtered and full, both against the scalar oracle.
         let want_filtered = oracle(&f, &filt, at);
-        let got_filtered = scan(f.engine.imcs(), &f.store, OBJ, &filt, at).unwrap().unwrap();
+        let got_filtered = execute(
+            std::slice::from_ref(f.engine.imcs()),
+            &f.store,
+            OBJ,
+            &ScanPlan::new(&filt, at),
+        )
+        .unwrap()
+        .unwrap();
         prop_assert_eq!(by_key(got_filtered.rows), want_filtered.clone(), "filtered cold scan diverged");
         let want_all = oracle(&f, &all, at);
-        let got_all = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let got_all = execute(
+            std::slice::from_ref(f.engine.imcs()),
+            &f.store,
+            OBJ,
+            &ScanPlan::new(&all, at),
+        )
+        .unwrap()
+        .unwrap();
         prop_assert_eq!(by_key(got_all.rows), want_all, "full cold scan diverged");
         prop_assert_eq!(got_all.stats.cold_read_errors, 0usize);
         prop_assert!(
@@ -240,10 +255,24 @@ proptest! {
         // counter — so touch every survivor with a scan and run again.
         let rt = tier(&f, 0);
         let mut recalled = rt.run_until_idle().unwrap().recalled;
-        let _ = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let _ = execute(
+            std::slice::from_ref(f.engine.imcs()),
+            &f.store,
+            OBJ,
+            &ScanPlan::new(&all, at),
+        )
+        .unwrap()
+        .unwrap();
         recalled += rt.run_until_idle().unwrap().recalled;
         prop_assert!(recalled > 0, "nothing recalled");
-        let got = scan(f.engine.imcs(), &f.store, OBJ, &filt, at).unwrap().unwrap();
+        let got = execute(
+            std::slice::from_ref(f.engine.imcs()),
+            &f.store,
+            OBJ,
+            &ScanPlan::new(&filt, at),
+        )
+        .unwrap()
+        .unwrap();
         let errors = got.stats.cold_read_errors;
         prop_assert_eq!(by_key(got.rows), want_filtered, "recalled scan diverged");
         prop_assert_eq!(errors, 0usize);
@@ -280,7 +309,14 @@ proptest! {
         let at = f.scns.current();
         let all = Filter::all();
         let want = oracle(&f, &all, at);
-        let got = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let got = execute(
+            std::slice::from_ref(f.engine.imcs()),
+            &f.store,
+            OBJ,
+            &ScanPlan::new(&all, at),
+        )
+        .unwrap()
+        .unwrap();
         let errors = got.stats.cold_read_errors;
         prop_assert_eq!(by_key(got.rows), want.clone(), "torn file changed the scan result");
         prop_assert!(errors >= 1, "the torn unit must be counted");
@@ -288,7 +324,14 @@ proptest! {
         // The next tier pass quarantines the torn file instead of
         // recalling it; scans keep serving from the row store.
         tier(&f, 0).run_until_idle().unwrap();
-        let again = scan(f.engine.imcs(), &f.store, OBJ, &all, at).unwrap().unwrap();
+        let again = execute(
+            std::slice::from_ref(f.engine.imcs()),
+            &f.store,
+            OBJ,
+            &ScanPlan::new(&all, at),
+        )
+        .unwrap()
+        .unwrap();
         prop_assert_eq!(by_key(again.rows), want, "post-quarantine scan diverged");
     }
 }

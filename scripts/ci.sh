@@ -88,6 +88,14 @@ if [[ "$fast" == 0 ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release -q
 
+    # Benchmark gate: perfbench (its own cargo package) drives the system
+    # only through the public query types and checks every answer against
+    # an exact oracle; a change to those types that breaks the benchmark,
+    # or an answer its self-tests reject, fails here.
+    echo "==> perfbench build + self-tests"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     # Bench-smoke gate: a tiny-scale bench_scan run must produce a
     # schema-valid BENCH document, and the checked-in trajectory
     # documents must still validate. Ratios are NOT asserted here — at

@@ -277,3 +277,53 @@ fn aggregate_without_placement_uses_row_store() {
     assert_eq!(r.aggs.sum, 45);
     assert_eq!(r.stats.pushdown_units, 0);
 }
+
+/// An expression predicate with an aggregate folds exactly the rows the
+/// expression selects (checked against the row store at the answer's
+/// snapshot); a column filter on top of an expression is rejected rather
+/// than silently dropped.
+#[test]
+fn expression_aggregate_is_exact_and_filter_conflict_is_rejected() {
+    let c = cluster();
+    seed(&c, 140);
+    let expr = revenue_expr(&c);
+    c.register_expression(OBJ, ImExpression::new("revenue", expr.clone()));
+    c.sync().unwrap();
+    // A change after population: the aggregate must reconcile it too.
+    let p = c.primary();
+    let mut tx = p.txm.begin(TenantId::DEFAULT);
+    p.txm.update_column_by_key(&mut tx, OBJ, 3, "qty", Value::Int(1000)).unwrap();
+    p.txm.commit(tx);
+    c.ship_redo().unwrap();
+    c.standby().pump_until_idle().unwrap();
+
+    let pred = ExprPredicate {
+        name: "revenue".into(),
+        expr: Arc::new(expr),
+        op: CmpOp::Ge,
+        value: Value::Int(60),
+    };
+    let standby = c.standby();
+    let req = QueryRequest::scan(OBJ).expression(pred.clone()).aggregate("price");
+    let out = standby.query(&req).unwrap();
+    assert!(out.used_imcs);
+    let agg = out.aggregate.unwrap();
+    let (mut count, mut sum) = (0u64, 0i128);
+    p.store
+        .scan_object(OBJ, out.snapshot, None, |_, row| {
+            if pred.eval_row(row) {
+                count += 1;
+                sum += i128::from(row[2].as_int().unwrap());
+            }
+        })
+        .unwrap();
+    assert!(count > 0 && count < 140, "the expression selects a strict subset");
+    assert_eq!(agg.aggs.count, count);
+    assert_eq!(agg.aggs.sum, sum);
+
+    let schema = p.store.table(OBJ).unwrap().schema.read().clone();
+    let filter = Filter::of(Predicate::eq(&schema, "code", Value::str("c0")).unwrap());
+    let both = QueryRequest::scan(OBJ).filter(filter).expression(pred);
+    let err = standby.query(&both).unwrap_err();
+    assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
+}

@@ -191,9 +191,9 @@ fn coarse_invalidation_is_tenant_scoped() {
     // Tenant 1's units went coarse; tenant 2's are untouched.
     let imcs = &standby.instances()[0].imcs;
     let t1_units = imcs.object(ObjectId(1)).unwrap();
-    assert!(t1_units.handles().iter().any(|h| h.smu().view().all_invalid()));
+    assert!(t1_units.handles().iter().any(|h| h.smu().read().all_invalid()));
     let t2_units = imcs.object(ObjectId(2)).unwrap();
-    assert!(t2_units.handles().iter().all(|h| !h.smu().view().all_invalid()));
+    assert!(t2_units.handles().iter().all(|h| !h.smu().read().all_invalid()));
 }
 
 /// QuerySCN leapfrogs: consecutive published values under a bursty load
